@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <thread>
 
 #include "exec/verify.h"
@@ -162,35 +163,32 @@ void BenchJson::Flush() {
   std::ofstream f(path_);
   RIOT_CHECK(f.good()) << "cannot write " << path_;
   f << "{\n  \"bench\": \"" << JsonEscape(bench_) << "\",\n  \"runs\": [\n";
+  // Streamed field by field: a fixed row buffer would silently truncate
+  // long plan names into invalid JSON.
+  f << std::fixed << std::setprecision(6);
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     const ExecStats& s = e.stats;
-    char buf[960];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"plan\": \"%s\", \"kind\": \"%s\", \"threads\": %d, "
-        "\"pipeline_depth\": %d, \"policy\": \"%s\", \"cap_bytes\": %lld, "
-        "\"wall_seconds\": %.6f, "
-        "\"io_seconds\": %.6f, \"compute_seconds\": %.6f, "
-        "\"overlap_seconds\": %.6f, \"compute_overlap_seconds\": %.6f, "
-        "\"bytes_read\": %lld, \"bytes_written\": %lld, "
-        "\"block_reads\": %lld, \"evictions\": %lld, "
-        "\"dirty_writebacks\": %lld, \"policy_saved_reads\": %lld, "
-        "\"parallel_groups\": %lld, \"max_ready_width\": %lld}%s\n",
-        JsonEscape(e.plan).c_str(), JsonEscape(e.kind).c_str(), e.threads,
-        e.depth, JsonEscape(e.policy).c_str(),
-        static_cast<long long>(e.cap_bytes), s.wall_seconds, s.io_seconds,
-        s.compute_seconds, s.overlap_seconds, s.compute_overlap_seconds,
-        static_cast<long long>(s.bytes_read),
-        static_cast<long long>(s.bytes_written),
-        static_cast<long long>(s.block_reads),
-        static_cast<long long>(s.pool.evictions),
-        static_cast<long long>(s.pool.dirty_writebacks),
-        static_cast<long long>(s.policy_saved_reads),
-        static_cast<long long>(s.parallel_groups),
-        static_cast<long long>(s.max_ready_width),
-        i + 1 < entries_.size() ? "," : "");
-    f << buf;
+    f << "    {\"plan\": \"" << JsonEscape(e.plan) << "\", \"kind\": \""
+      << JsonEscape(e.kind) << "\", \"threads\": " << e.threads
+      << ", \"pipeline_depth\": " << e.depth << ", \"policy\": \""
+      << JsonEscape(e.policy) << "\", \"cap_bytes\": " << e.cap_bytes
+      << ", \"wall_seconds\": " << s.wall_seconds
+      << ", \"io_seconds\": " << s.io_seconds
+      << ", \"compute_seconds\": " << s.compute_seconds
+      << ", \"overlap_seconds\": " << s.overlap_seconds
+      << ", \"compute_overlap_seconds\": " << s.compute_overlap_seconds
+      << ", \"bytes_read\": " << s.bytes_read
+      << ", \"bytes_written\": " << s.bytes_written
+      << ", \"block_reads\": " << s.block_reads
+      << ", \"evictions\": " << s.pool.evictions
+      << ", \"dirty_writebacks\": " << s.pool.dirty_writebacks
+      << ", \"policy_saved_reads\": " << s.policy_saved_reads
+      << ", \"prefetch_hits\": " << s.prefetch_hits
+      << ", \"prefetch_wasted\": " << s.prefetch_wasted
+      << ", \"parallel_groups\": " << s.parallel_groups
+      << ", \"max_ready_width\": " << s.max_ready_width << "}"
+      << (i + 1 < entries_.size() ? "," : "") << "\n";
   }
   f << "  ]\n}\n";
   std::printf("[%s] wrote %zu runs to %s\n", bench_.c_str(), entries_.size(),

@@ -1,6 +1,7 @@
 #include "core/access_plan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <tuple>
@@ -76,6 +77,9 @@ AccessScript BuildAccessScript(const Program& program,
     script.max_instance_bytes =
         std::max(script.max_instance_bytes, inst_bytes);
   }
+  for (int64_t bytes : RequiredBytesPerPosition(program, rp)) {
+    script.peak_required_bytes = std::max(script.peak_required_bytes, bytes);
+  }
 
   // Annotation pass: per-(array, block) use positions, then each record's
   // next use (the first use strictly after its own position).
@@ -93,6 +97,42 @@ AccessScript BuildAccessScript(const Program& program,
     rec.next_use_pos = next == uses.end() ? -1 : *next;
   }
   return script;
+}
+
+std::vector<int64_t> RequiredBytesPerPosition(const Program& program,
+                                              const RealizedPlan& rp) {
+  std::vector<int64_t> required(rp.order.size(), 0);
+  std::map<std::pair<int, int64_t>, int64_t> retained;  // block -> max end grp
+  std::multimap<size_t, const RetentionSpan*> by_begin;
+  for (const auto& span : rp.spans) by_begin.emplace(span.begin_pos, &span);
+  auto next_span = by_begin.begin();
+  for (size_t pos = 0; pos < rp.order.size(); ++pos) {
+    const int64_t group = static_cast<int64_t>(rp.group_of[pos]);
+    // Expire retentions whose end group has completed.
+    for (auto it = retained.begin(); it != retained.end();) {
+      it = it->second < group ? retained.erase(it) : std::next(it);
+    }
+    // Activate spans whose source access is this instance.
+    for (; next_span != by_begin.end() && next_span->first <= pos;
+         ++next_span) {
+      const RetentionSpan* s = next_span->second;
+      int64_t& end = retained[{s->array_id, s->block}];
+      end = std::max(end, static_cast<int64_t>(s->end_group));
+    }
+    // Live set: this instance's blocks plus retained blocks.
+    const auto& inst = rp.order[pos];
+    std::set<std::pair<int, int64_t>> live;
+    for (const auto& a : program.statement(inst.stmt_id).accesses) {
+      if (!a.ActiveAt(inst.iter)) continue;
+      live.insert({a.array_id, program.array(a.array_id)
+                                   .LinearBlockIndex(a.BlockAt(inst.iter))});
+    }
+    for (const auto& [key, end] : retained) live.insert(key);
+    for (const auto& [array_id, lin] : live) {
+      required[pos] += program.array(array_id).BlockBytes();
+    }
+  }
+  return required;
 }
 
 InstanceDag BuildInstanceDag(const AccessScript& script) {

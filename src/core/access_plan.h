@@ -65,8 +65,12 @@ struct AccessScript {
   std::vector<std::pair<uint32_t, uint32_t>> per_pos;
   size_t num_groups = 0;
   /// Largest total byte footprint any single instance touches at once;
-  /// the headroom a prefetch budget must always leave the consumer.
+  /// the per-worker headroom the parallel engine's prefetch budget leaves.
   int64_t max_instance_bytes = 0;
+  /// Max over positions of RequiredBytesPerPosition: the plan's exact
+  /// memory requirement (equal to the cost model's peak). The serial
+  /// engine's prefetch budget is the cap's headroom over it.
+  int64_t peak_required_bytes = 0;
   /// Per-(array, block) ascending, deduplicated instance positions of use
   /// (every access, read or write). The per-block future-use iterators
   /// behind the ScheduleOpt replacement policy and the cost model's cache
@@ -76,6 +80,15 @@ struct AccessScript {
 
 /// \brief Lowers `rp` (over `program`) into its block access script.
 AccessScript BuildAccessScript(const Program& program, const RealizedPlan& rp);
+
+/// \brief Bytes the plan requires resident at each scheduled position
+/// (paper Section 5.4): the blocks the instance accesses plus every
+/// retained block whose span covers it. A span is active from its source
+/// access until the last instant of its end group — exactly the serial
+/// engine's pin/retain discipline, so the maximum is both the cost model's
+/// predicted peak and the engine's measured one.
+std::vector<int64_t> RequiredBytesPerPosition(const Program& program,
+                                              const RealizedPlan& rp);
 
 /// \brief Statement-instance dependence DAG over the scheduled stream.
 ///

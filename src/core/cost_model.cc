@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -44,51 +43,9 @@ PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
     }
   }
 
-  // Peak memory sweep, per statement-instance instant (paper Section 5.4:
-  // M(tau) = blocks the instance at tau accesses, plus every retained block
-  // whose span covers tau). A span is active from its source access until
-  // the last instant of its end group — exactly the executor's pin/retain
-  // discipline, so predicted peak equals measured peak.
-  std::map<std::pair<int, int64_t>, int64_t> retained;  // block -> max end grp
-  std::multimap<size_t, const RetentionSpan*> by_begin;
-  for (const auto& span : rp.spans) {
-    by_begin.emplace(span.begin_pos, &span);
-  }
-  auto next_span = by_begin.begin();
-  for (size_t pos = 0; pos < rp.order.size(); ++pos) {
-    const size_t group = rp.group_of[pos];
-    // Expire retentions whose end group has completed.
-    for (auto it = retained.begin(); it != retained.end();) {
-      if (it->second < static_cast<int64_t>(group)) {
-        it = retained.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // Activate spans whose source access is this instance.
-    while (next_span != by_begin.end() && next_span->first <= pos) {
-      const RetentionSpan* s = next_span->second;
-      auto key = std::make_pair(s->array_id, s->block);
-      auto it = retained.find(key);
-      int64_t end = static_cast<int64_t>(s->end_group);
-      if (it == retained.end() || it->second < end) retained[key] = end;
-      ++next_span;
-    }
-    // Live set: this instance's blocks plus retained blocks.
-    const auto& inst = rp.order[pos];
-    const Statement& st = program.statement(inst.stmt_id);
-    std::set<std::pair<int, int64_t>> live;
-    for (const auto& a : st.accesses) {
-      if (!a.ActiveAt(inst.iter)) continue;
-      int64_t lin =
-          program.array(a.array_id).LinearBlockIndex(a.BlockAt(inst.iter));
-      live.insert({a.array_id, lin});
-    }
-    for (const auto& [key, end] : retained) live.insert(key);
-    int64_t bytes = 0;
-    for (const auto& [array_id, lin] : live) {
-      bytes += program.array(array_id).BlockBytes();
-    }
+  // Peak memory: the per-position requirement the engine's pin/retain
+  // discipline realizes, so predicted peak equals measured peak.
+  for (int64_t bytes : RequiredBytesPerPosition(program, rp)) {
     cost.peak_memory_bytes = std::max(cost.peak_memory_bytes, bytes);
   }
 

@@ -1,5 +1,6 @@
 #include "exec/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -214,15 +215,23 @@ Result<ExecStats> Executor::RunSerial(
     } else {
       owned_io = std::make_unique<IoPool>(std::max(1, opts_.io_threads));
       io = owned_io.get();
-      int64_t budget = opts_.prefetch_budget_bytes;
-      if (budget <= 0) {
-        budget = std::max<int64_t>(
-            0, (pool.cap_bytes() - script.max_instance_bytes) / 2);
-      }
-      pool.SetPrefetchBudget(budget);
+      // The cap's headroom over the plan's exact peak: lookahead then never
+      // displaces anything the plan needs, so the consumer never has to
+      // cancel a prefetch (it waits out in-flight writes instead).
+      pool.SetPrefetchBudget(
+          std::max<int64_t>(0, pool.cap_bytes() - script.peak_required_bytes));
       if (opts_.writeback_async) pool.SetWriteBehind(io);
     }
   }
+
+  // Write-behind write-through: each non-saved write goes to the I/O
+  // workers instead of blocking the consumer. The pool keeps the frame
+  // resident until the write lands (inside the cap, outside the required
+  // bytes), lists this run's writes in `ledger`, and its write barrier
+  // orders every later disk read, prefetch or rewrite of the block after
+  // the write.
+  const bool write_behind = io != nullptr && opts_.writeback_async;
+  WriteThroughLedger ledger;
 
   // Blocks until the prefetch for `key` has completed (draining other
   // completions encountered on the way).
@@ -288,9 +297,12 @@ Result<ExecStats> Executor::RunSerial(
     }
     BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
     BufferPool::Frame* f =
-        pool.TryStartPrefetch(pid(rec.array_id), rec.block, rec.bytes, store);
+        pool.TryStartPrefetch(key.first, rec.block, rec.bytes, store);
     if (f == nullptr) {
-      if (pool.Probe(pid(rec.array_id), rec.block) != nullptr) {
+      if (write_behind && pool.WriteInFlight(key.first, rec.block)) {
+        return Issue::kDepBlocked;  // the producing write has not landed
+      }
+      if (pool.Probe(key.first, rec.block) != nullptr) {
         return Issue::kHandled;  // resident; consumer serves it directly
       }
       return Issue::kNoRoom;
@@ -356,27 +368,47 @@ Result<ExecStats> Executor::RunSerial(
                          [&] { return store->WriteBlock(block, buf); });
   };
 
-  // Fetch that relieves prefetch memory pressure instead of failing: the
-  // consumer always wins over lookahead. Session runs additionally
+  // Fetch that relieves memory pressure instead of failing: it first
+  // waits for this run's oldest in-flight write (which frees its frame in
+  // bounded time), then cancels lookahead — the consumer always wins over
+  // prefetch. Session runs additionally
   // park-and-retry through kResourceExhausted — another tenant's transient
   // pressure (its prefetch lookahead, a not-yet-released retention)
   // resolves as that tenant progresses — and only give up after the
   // binding's park timeout. `coalesce` marks read fetches whose miss this
   // caller will fill (MarkLoaded) and whose hit may join another
-  // session's in-flight load.
+  // session's in-flight load. `refill` marks fetches whose frame the
+  // caller will overwrite (a disk read, a write target): a resident frame
+  // waits out any in-flight write of the block once pinned, so a write
+  // submitted before the pin lands first, and one submitted after it
+  // sees the pin and is written synchronously (WriteThroughAsync).
   auto fetch_frame = [&](int pool_array_id, int64_t block, int64_t bytes,
-                         BlockStore* store, bool coalesce,
+                         BlockStore* store, bool coalesce, bool refill,
                          bool* resident_out) -> Result<BufferPool::Frame*> {
     double parked = 0.0;
     double backoff = 0.0005;
     for (;;) {
+      const int64_t landed = ledger.landed.load();
+      bool resident = false;
       auto f = pool.Fetch(pool_array_id, block, bytes, store, /*load=*/false,
-                          resident_out, account,
+                          &resident, account,
                           coalesce && session != nullptr);
+      if (resident_out != nullptr) *resident_out = resident;
+      if (f.ok() && write_behind && refill && resident) {
+        Status wst = pool.AwaitWrite(pool_array_id, block);
+        if (!wst.ok()) {
+          pool.Unpin(*f, account);
+          return wst;
+        }
+      }
       if (f.ok() ||
           f.status().code() != StatusCode::kResourceExhausted) {
         return f;
       }
+      // This run's oldest write frees its frame in bounded time; one that
+      // landed since the Fetch already has.
+      RIOT_RETURN_NOT_OK(pool.AwaitOldestWrite(&ledger));
+      if (ledger.landed.load() != landed) continue;
       if (cancel_one()) continue;
       if (session == nullptr || parked >= session->park_timeout_seconds) {
         return f;
@@ -400,6 +432,9 @@ Result<ExecStats> Executor::RunSerial(
     std::vector<DenseView> views;
     std::vector<DenseView*> view_ptrs;
     for (size_t pos = 0; pos < rp.order.size(); ++pos) {
+      // A failed write-through ends the run; the cleanup's drain reports
+      // it as the run's status.
+      if (ledger.failed.load()) break;
       const auto& inst = rp.order[pos];
       if (rp.group_of[pos] != cur_group) {
         cur_group = rp.group_of[pos];
@@ -458,7 +493,8 @@ Result<ExecStats> Executor::RunSerial(
             // one block share a single disk read.
             bool resident = false;
             auto f = fetch_frame(key.first, rec.block, rec.bytes, store,
-                                 /*coalesce=*/true, &resident);
+                                 /*coalesce=*/true, /*refill=*/false,
+                                 &resident);
             if (!f.ok()) return f.status();
             frame = *f;
             if (!resident) {
@@ -505,7 +541,8 @@ Result<ExecStats> Executor::RunSerial(
                   std::to_string(ai) + " (plan/realization bug)");
             }
             auto f = fetch_frame(rec.array_id, rec.block, rec.bytes, store,
-                                 /*coalesce=*/false, nullptr);
+                                 /*coalesce=*/false, /*refill=*/!saved,
+                                 nullptr);
             if (!f.ok()) return f.status();
             frame = *f;
             if (!saved || present == nullptr) {
@@ -531,7 +568,8 @@ Result<ExecStats> Executor::RunSerial(
             // frame is marked loaded at once: nothing will fill it.
             bool resident = false;
             auto f = fetch_frame(key.first, rec.block, rec.bytes, store,
-                                 /*coalesce=*/session != nullptr, &resident);
+                                 /*coalesce=*/session != nullptr,
+                                 /*refill=*/true, &resident);
             if (!f.ok()) return f.status();
             frame = *f;
             if (session != nullptr && !resident) pool.MarkLoaded(frame);
@@ -562,8 +600,15 @@ Result<ExecStats> Executor::RunSerial(
         if (rec.type != AccessType::kWrite) continue;
         const size_t ai = static_cast<size_t>(rec.access_idx);
         if (frames[ai] == nullptr) continue;
-        if (!rec.saved) {
-          BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
+        BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
+        // Write-behind unless a co-tenant also holds the frame (then it
+        // may still be mutating it: write it now, as at depth 0).
+        const int own_pins = static_cast<int>(
+            std::count(frames.begin(), frames.end(), frames[ai]));
+        if (!rec.saved &&
+            !(write_behind &&
+              pool.WriteThroughAsync(frames[ai], own_pins, store, io,
+                                     io_channel, &ledger))) {
           Status wst = sync_write(store, frames[ai]->block,
                                   frames[ai]->data.data());
           if (!wst.ok()) {
@@ -581,6 +626,8 @@ Result<ExecStats> Executor::RunSerial(
             }
             return wst;
           }
+        }
+        if (!rec.saved) {
           stats.bytes_written += rec.bytes;
           ++stats.block_writes;
         }
@@ -610,12 +657,19 @@ Result<ExecStats> Executor::RunSerial(
 
   // Unified cleanup (success and error): unpin anything a failed instance
   // still holds, drain the lookahead the plan ended ahead of, land every
-  // write-behind, join the I/O workers, and release every retention this
-  // run created.
+  // write-through and write-behind, join the I/O workers, and release
+  // every retention this run created.
   for (BufferPool::Frame* f : frames) {
     if (f != nullptr) pool.Unpin(f, account);
   }
   while (cancel_one()) {
+  }
+  if (write_behind) {
+    // A failed write is the root cause of whatever the run tripped over
+    // afterwards (a poisoned block, a discarded frame), so it wins.
+    Status wt = pool.DrainWriteThroughs(&ledger);
+    if (!wt.ok()) run_status = wt;
+    stats.write_behind_peak_bytes = ledger.peak_held_bytes.load();
   }
   if (owned_io != nullptr) {
     if (opts_.writeback_async) {
@@ -728,14 +782,10 @@ Result<ExecStats> Executor::RunParallel(
   StoreMutexMap fallback_store_mu;  // store serialization when no IoPool
   if (depth > 0) {
     io = std::make_unique<IoPool>(std::max(1, opts_.io_threads));
-    int64_t budget = opts_.prefetch_budget_bytes;
-    if (budget <= 0) {
-      budget = std::max<int64_t>(
-          0, (pool.cap_bytes() -
-              static_cast<int64_t>(nworkers) * script.max_instance_bytes) /
-                 2);
-    }
-    pool.SetPrefetchBudget(budget);
+    pool.SetPrefetchBudget(std::max<int64_t>(
+        0, (pool.cap_bytes() -
+            static_cast<int64_t>(nworkers) * script.max_instance_bytes) /
+               2));
     if (opts_.writeback_async) pool.SetWriteBehind(io.get());
   }
 

@@ -14,8 +14,10 @@
 //   * I/O pipeline (ExecOptions::pipeline_depth): a prefetcher walks the
 //     plan's block access script (core/access_plan.h) up to `depth` groups
 //     ahead of the kernels, issuing asynchronous reads through an I/O
-//     worker pool while kernels run against completed frames. Depth 0
-//     degrades to the fully synchronous engine bit-for-bit.
+//     worker pool while kernels run against completed frames, and the
+//     serial engine's write-through goes to the same workers behind the
+//     kernels (write-behind). Depth 0 degrades to the fully synchronous
+//     engine bit-for-bit.
 //
 //   * Parallel kernel dispatch (ExecOptions::exec_threads): the script is
 //     lifted to a statement-instance dependence DAG (BuildInstanceDag) and
@@ -115,17 +117,18 @@ struct ExecOptions {
   /// Lookahead of the prefetching pipeline, in schedule groups: the
   /// prefetcher walks the plan's block access script up to this many groups
   /// ahead of the kernels, issuing asynchronous disk reads so I/O overlaps
-  /// compute. 0 (default) disables the pipeline and reproduces the
-  /// synchronous engine bit-for-bit — same I/O counts, same pool behavior.
-  /// Ignored (treated as 0) under kOpportunisticCache, which has no plan
-  /// foreknowledge to prefetch from.
+  /// compute. Prefetched lookahead never violates the memory cap: the
+  /// serial engine budgets it at the cap's headroom over the plan's exact
+  /// peak (cap - peak, so it never needs cancelling), the parallel engine
+  /// at half the headroom over its workers' instance footprints. 0
+  /// (default) disables the pipeline and reproduces the synchronous engine
+  /// bit-for-bit — same I/O counts, same pool behavior. Ignored (treated
+  /// as 0) under kOpportunisticCache, which has no plan foreknowledge to
+  /// prefetch from.
   int pipeline_depth = 0;
-  /// I/O worker threads servicing prefetch reads when pipeline_depth >= 1.
+  /// I/O worker threads servicing prefetch reads and write-behind when
+  /// pipeline_depth >= 1.
   int io_threads = 2;
-  /// Max bytes of prefetched lookahead resident at once. 0 = auto: half
-  /// the cap headroom above the largest per-worker instance footprint.
-  /// Prefetch never violates the memory cap regardless of this value.
-  int64_t prefetch_budget_bytes = 0;
   /// Kernel worker threads. 1 (default) = the serial engine, bit-for-bit.
   /// > 1 dispatches DAG-ready statement instances onto this many workers
   /// (composable with pipeline_depth: the prefetcher keeps feeding frames
@@ -147,14 +150,19 @@ struct ExecOptions {
   /// per-plan normalized clocks (see storage/replacement.h); with no
   /// bound plan at all it is exact LRU.
   ReplacementKind replacement = ReplacementKind::kLru;
-  /// Hand dirty eviction victims (spills) to the run's I/O workers
-  /// (write-behind) instead of writing back synchronously under the pool
-  /// lock, with a write barrier covering later reads/prefetches of an
-  /// in-flight block. Active only when the run has an IoPool
-  /// (pipeline_depth >= 1). Plan-exact and opportunistic runs are
-  /// write-through and never dirty frames, so this matters when a shared
-  /// pool carries dirty frames from outside the run; forcing it off (or
-  /// depth 0) reproduces the historical synchronous spill path exactly.
+  /// Write-behind: active only when the run has an IoPool
+  /// (pipeline_depth >= 1). The serial engine hands each non-saved
+  /// write-through to the I/O workers instead of writing on the kernel
+  /// thread; the frame stays resident (counted against the cap) until the
+  /// write lands, and a write barrier orders every later disk read,
+  /// prefetch or rewrite of the block after it. A frame a co-tenant also
+  /// holds is written synchronously. Dirty eviction victims
+  /// (spills, only possible when a shared pool carries dirty frames from
+  /// outside the run) go the same way instead of being written back under
+  /// the pool lock. The parallel engine keeps its synchronous
+  /// write-through. Forcing this off (or depth 0) reproduces the
+  /// historical synchronous write paths exactly. Session runs follow
+  /// SessionRuntimeOptions::writeback_async.
   bool writeback_async = true;
   /// Optional caller-owned pool to run against instead of a private one
   /// (memory_cap_bytes is then ignored; the pool's own cap governs). Lets
@@ -201,6 +209,11 @@ struct ExecStats {
   /// Peak of pinned+retained bytes: the plan's true memory requirement
   /// (comparable to the cost model's prediction).
   int64_t peak_required_bytes = 0;
+  /// Peak bytes of frames held resident only by this run's in-flight
+  /// write-throughs (writeback_async at pipeline_depth >= 1). Disjoint
+  /// from peak_required_bytes: the plan needs these frames no longer, but
+  /// they count against the cap until their writes land.
+  int64_t write_behind_peak_bytes = 0;
   /// Reads served by an adopted prefetched frame (pipeline_depth >= 1).
   int64_t prefetch_hits = 0;
   /// Prefetched blocks canceled under memory pressure or never consumed.

@@ -189,6 +189,7 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
   eo.shared_pool = &pool_;
   eo.session = &binding;
   eo.exec_threads = 1;  // sessions are the parallelism
+  eo.writeback_async = opts_.writeback_async;  // write-behind is pool-wide
   eo.replacement = opts_.replacement;  // informational; the pool decides
 
   Executor ex(*spec.program, spec.stores, *spec.kernels, eo);

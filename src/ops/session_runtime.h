@@ -75,7 +75,8 @@ struct SessionRuntimeOptions {
   int io_threads = 2;
   /// Pool-wide prefetch lookahead budget; 0 = pool_cap_bytes / 8.
   int64_t prefetch_budget_bytes = 0;
-  /// Route dirty-eviction spills through the shared I/O workers.
+  /// Route write-through (sessions at pipeline_depth >= 1) and
+  /// dirty-eviction spills through the shared I/O workers.
   bool writeback_async = true;
   /// Safety margin added to every session's declared/derived footprint
   /// before admission (headroom for alignment and small plan errors).

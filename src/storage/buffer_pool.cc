@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <chrono>
+#include <iterator>
 
 #include "storage/io_pool.h"
 #include "util/logging.h"
@@ -181,9 +182,12 @@ Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
       RIOT_CHECK(f.store != nullptr);
       if (write_io_ != nullptr) {
         const int64_t fbytes = static_cast<int64_t>(f.data.size());
-        // A frame and a pending write of the same block are mutually
-        // exclusive: async eviction erases the frame under this lock, and
-        // Fetch/TryStartPrefetch never re-create it past the barrier.
+        // No write of a victim is pending. A spill erases its frame under
+        // this lock, and Fetch/TryStartPrefetch never re-create it past
+        // the barrier. A write-through keeps its frame, but such a frame
+        // has a writer and is not evictable (IsEvictable) until the write
+        // has landed and, on success, erased its entry under this lock; a
+        // failed one discards the frame, which is not evictable either.
         RIOT_CHECK(pending_writes_.count(victim) == 0);
         // In-flight write-behind buffers live outside the cap; bound them.
         const int64_t budget = std::max(cap_bytes_ / 4, fbytes);
@@ -273,8 +277,9 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
         continue;
       }
       if (f.discarded) {
-        // Garbage contents (failed load) awaiting its holders' release; the
-        // run is already failing — refuse rather than hand out zeros.
+        // Garbage contents (failed load or write-through) awaiting its
+        // holders' release; the run is already failing — refuse rather
+        // than hand out zeros.
         return Status::Internal("fetch of a discarded frame (run aborting)");
       }
       if (account != nullptr && !CountsAsRequired(f)) {
@@ -311,7 +316,7 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
             --fp->pins;
             DropHoldLocked(fp, account);
           });
-          if (fp->pins == 0) EraseFrameLocked(fp);
+          EraseIfReleasedLocked(fp);
           return Status::Internal(
               "coalesced load failed in the loading session");
         }
@@ -428,7 +433,7 @@ void BufferPool::Unpin(Frame* frame, PoolAccount* account) {
     --frame->pins;
     DropHoldLocked(frame, account);
   });
-  if (frame->discarded && frame->pins == 0) EraseFrameLocked(frame);
+  EraseIfReleasedLocked(frame);
 }
 
 void BufferPool::Discard(Frame* frame, PoolAccount* account) {
@@ -444,7 +449,7 @@ void BufferPool::Discard(Frame* frame, PoolAccount* account) {
       frame->loading = false;  // the load failed; waiters must not hang
       frame->retentions.clear();  // nothing may keep garbage alive
     });
-    if (frame->pins == 0) EraseFrameLocked(frame);
+    EraseIfReleasedLocked(frame);
   }
   // Coalesced-load waiters check `discarded` when woken and bail out.
   if (was_loading) load_cv_.NotifyAll();
@@ -453,6 +458,9 @@ void BufferPool::Discard(Frame* frame, PoolAccount* account) {
 void BufferPool::Retain(Frame* frame, int64_t until_group,
                         PoolAccount* owner) {
   MutexLock lock(&mu_);
+  // Nothing may keep garbage alive: a failed write-through can discard a
+  // frame while a later instance holds it (the run is failing already).
+  if (frame->discarded) return;
   MutateTracked(frame, [&] {
     for (Retention& r : frame->retentions) {
       if (r.owner == owner) {
@@ -528,6 +536,85 @@ void BufferPool::SetWriteBehind(IoPool* io) {
 Status BufferPool::DrainWritebacks() {
   UniqueMutexLock lock(&mu_);
   return DrainWritebacksLocked(lock);
+}
+
+bool BufferPool::WriteThroughAsync(Frame* frame, int caller_pins,
+                                   BlockStore* store, IoPool* io, int channel,
+                                   WriteThroughLedger* ledger) {
+  const Key key{frame->array_id, frame->block};
+  auto pw = std::make_shared<PendingWrite>();
+  pw->ledger = ledger;
+  {
+    UniqueMutexLock lock(&mu_);
+    RIOT_CHECK_GT(frame->pins, 0) << "write-through of an unpinned frame";
+    // An earlier write of the block can only be the caller's own (another
+    // holder awaited it before touching the buffer); it lands first. The
+    // wait may drop the lock, so the pin check comes after it.
+    if (!WaitWritebackLocked(lock, key).ok() || frame->pins > caller_pins) {
+      return false;
+    }
+    // The pending entry is the barrier; `writer` keeps the frame resident.
+    pending_writes_[key] = pw;
+    ledger->in_flight.push_back(key);
+    MutateTracked(frame, [&] { frame->writer = ledger; });
+  }
+  io->WriteBlockAsync(
+      store, key.second, frame->data.data(),
+      [this, key, pw, frame](Status st) {
+        MutexLock lock(&mu_);
+        pw->done = true;
+        pw->status = std::move(st);
+        WriteThroughLedger* ledger = pw->ledger;
+        ledger->in_flight.erase(
+            std::find(ledger->in_flight.begin(), ledger->in_flight.end(), key));
+        ++ledger->landed;
+        if (pw->status.ok()) {
+          pending_writes_.erase(key);
+        } else if (!ledger->failed.exchange(true)) {
+          ledger->first_error = pw->status;
+        }
+        MutateTracked(frame, [&] {
+          frame->writer = nullptr;
+          if (!pw->status.ok()) {
+            // Contents never reached disk: never let them pass as cache.
+            frame->discarded = true;
+            frame->retentions.clear();
+          }
+        });
+        EraseIfReleasedLocked(frame);
+        // Under the lock: a woken drain may destroy the pool right after.
+        writeback_cv_.NotifyAll();
+      },
+      channel);
+  return true;
+}
+
+Status BufferPool::AwaitWrite(int array_id, int64_t block) {
+  UniqueMutexLock lock(&mu_);
+  return WaitWritebackLocked(lock, {array_id, block});
+}
+
+Status BufferPool::AwaitOldestWrite(WriteThroughLedger* ledger) {
+  UniqueMutexLock lock(&mu_);
+  if (ledger->in_flight.empty()) return Status::OK();
+  return WaitWritebackLocked(lock, ledger->in_flight.front());
+}
+
+bool BufferPool::WriteInFlight(int array_id, int64_t block) const {
+  MutexLock lock(&mu_);
+  return pending_writes_.count({array_id, block}) > 0;
+}
+
+Status BufferPool::DrainWriteThroughs(WriteThroughLedger* ledger) {
+  UniqueMutexLock lock(&mu_);
+  while (!ledger->in_flight.empty()) writeback_cv_.Wait(lock);
+  // Successful writes erased themselves; what is left of the ledger's is
+  // poison from failed ones.
+  for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
+    it = it->second->ledger == ledger ? pending_writes_.erase(it)
+                                      : std::next(it);
+  }
+  return ledger->first_error;
 }
 
 BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
@@ -640,7 +727,7 @@ void BufferPool::Drop(int array_id, int64_t block) {
   auto it = frames_.find({array_id, block});
   if (it == frames_.end()) return;
   Frame& f = it->second;
-  if (f.pins > 0 || f.retained() ||
+  if (f.pins > 0 || f.retained() || f.writer != nullptr ||
       f.state != FrameState::kRegular) {
     return;
   }
@@ -654,7 +741,7 @@ int64_t BufferPool::DropArrayFrames(int array_id) {
        it != frames_.end() && it->first.first == array_id;) {
     Frame& f = it->second;
     ++it;  // EraseFrameLocked invalidates the current iterator
-    if (f.pins > 0 || f.retained() ||
+    if (f.pins > 0 || f.retained() || f.writer != nullptr ||
         f.state != FrameState::kRegular || f.loading) {
       ++kept;
       continue;

@@ -25,6 +25,15 @@
 // (BufferPoolStats::writeback_stall_seconds). Without write-behind the
 // historical synchronous write-back is preserved exactly.
 //
+// The same barrier covers write-through behind the caller
+// (WriteThroughAsync): the executor hands each freshly computed output
+// frame to the write workers instead of writing it on its own thread. The
+// frame stays resident and unevictable until its write lands, so bytes in
+// flight count against the cap (though not as required bytes), and a
+// later disk read, prefetch or rewrite of the block waits for the write.
+// A frame another holder also pins is never written behind: that holder
+// may still mutate it.
+//
 // The pool is thread-safe: the pipelined executor's I/O workers fill
 // prefetch frames while kernel workers (one in the serial engine, many
 // under exec_threads > 1) concurrently fetch, pin, and retain.
@@ -41,6 +50,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -82,6 +92,27 @@ struct PoolAccount {
   std::atomic<int64_t> charged_bytes{0};
   std::atomic<int64_t> peak_charged_bytes{0};
   std::atomic<int64_t> budget_rejections{0};  // fetches refused over budget
+};
+
+/// \brief One run's write-throughs in flight (BufferPool::WriteThroughAsync).
+/// The pool updates it under its mutex; the atomics let the owning run read
+/// it without the lock. Must outlive every write it owns
+/// (DrainWriteThroughs).
+struct WriteThroughLedger {
+  /// Bytes of frames held resident only by one of this run's in-flight
+  /// writes (no pin, no retention), and the peak of that figure.
+  std::atomic<int64_t> held_bytes{0};
+  std::atomic<int64_t> peak_held_bytes{0};
+  /// Writes finished so far, failed ones included.
+  std::atomic<int64_t> landed{0};
+  /// Set by the first failed write, so the run can stop early.
+  std::atomic<bool> failed{false};
+  /// Guarded by the owning pool's mutex (not annotated: the ledger cannot
+  /// name it). The blocks whose writes are in flight, oldest first
+  /// (AwaitOldestWrite), and the first failed write's status (read it
+  /// through DrainWriteThroughs).
+  std::deque<std::pair<int, int64_t>> in_flight;
+  Status first_error;
 };
 
 struct BufferPoolStats {
@@ -181,6 +212,10 @@ class BufferPool {
     /// issuing a duplicate disk read. Loading frames are pinned by their
     /// creator and never evictable.
     bool loading = false;
+    /// Ledger of the in-flight write-through of this frame's contents;
+    /// nullptr when none. Such a frame is unevictable, and its buffer must
+    /// not be refilled or mutated until the write lands (AwaitWrite).
+    WriteThroughLedger* writer = nullptr;
     /// Session the frame's required bytes are charged to; nullptr when
     /// unrequired or claimed without an account. Always one of the
     /// frame's current claimants (a holder with pins, or a retention
@@ -291,6 +326,40 @@ class BufferPool {
   /// returns the write's error rather than silently rereading stale disk.
   Status DrainWritebacks() EXCLUDES(mu_);
 
+  /// Write-through behind the caller: hands the pinned `frame` to `io`'s
+  /// write workers (store->WriteBlock on `channel`) and returns true at
+  /// once. The caller keeps and releases its own pin as usual; the write
+  /// holds the frame resident and unevictable until it lands, outside the
+  /// required bytes but inside the cap. A failed write discards the frame,
+  /// sets `ledger->failed`, and poisons the block (AwaitWrite and a Fetch
+  /// miss return the error) until DrainWriteThroughs.
+  ///
+  /// Returns false, queuing nothing, when the frame has pins beyond the
+  /// caller's own `caller_pins`: another holder (a co-tenant writing the
+  /// same block) may still mutate the buffer, so the caller must write
+  /// synchronously instead. Holders that pin the frame after this call
+  /// must AwaitWrite before they touch the buffer. The check and the
+  /// submission are one step under the pool lock, so one of the two
+  /// always applies.
+  bool WriteThroughAsync(Frame* frame, int caller_pins, BlockStore* store,
+                         IoPool* io, int channel, WriteThroughLedger* ledger)
+      EXCLUDES(mu_);
+  /// The write barrier for callers that refill or mutate a frame they have
+  /// pinned: blocks until no write of the block is in flight, returning
+  /// the write's error if it failed.
+  Status AwaitWrite(int array_id, int64_t block) EXCLUDES(mu_);
+  /// Blocks until the oldest of `ledger`'s writes in flight lands (its
+  /// frame then no longer holds the cap); returns at once when none is.
+  /// Returns that write's error if it failed.
+  Status AwaitOldestWrite(WriteThroughLedger* ledger) EXCLUDES(mu_);
+  /// True while a write of the block is in flight (or failed and
+  /// undrained).
+  bool WriteInFlight(int array_id, int64_t block) const EXCLUDES(mu_);
+  /// Waits for every write `ledger` owns; returns the first failure and
+  /// clears the ledger's poisoned blocks, leaving other owners' writes
+  /// untouched.
+  Status DrainWriteThroughs(WriteThroughLedger* ledger) EXCLUDES(mu_);
+
   // ------------------------------------------------------- prefetch path
   /// Reserves a kPrefetching frame for (array_id, block) so an I/O worker
   /// can fill frame->data. Declines (returns nullptr) when a frame for the
@@ -359,9 +428,11 @@ class BufferPool {
   /// completion callback mutates them under it). Not annotated: a nested
   /// type cannot name the outer instance's mutex.
   struct PendingWrite {
-    AlignedBuffer data;  // the evicted frame's buffer, moved in
+    AlignedBuffer data;  // the evicted frame's buffer, moved in (empty for
+                         // a write-through, which writes from its frame)
     Status status;
     bool done = false;
+    WriteThroughLedger* ledger = nullptr;  // write-through owner
   };
 
   /// The *Locked helpers take the caller's scoped lock where they may have
@@ -385,7 +456,18 @@ class BufferPool {
   }
   static bool IsEvictable(const Frame& f) {
     return f.state == FrameState::kRegular && f.pins == 0 &&
-           !f.retained() && !f.discarded && !f.loading;
+           !f.retained() && !f.discarded && !f.loading &&
+           f.writer == nullptr;
+  }
+  /// Held resident only by its in-flight write-through.
+  static bool IsWriteHeld(const Frame& f) {
+    return f.writer != nullptr && !CountsAsRequired(f);
+  }
+  /// Erases a discarded frame once nothing holds it any more.
+  void EraseIfReleasedLocked(Frame* frame) REQUIRES(mu_) {
+    if (frame->discarded && frame->pins == 0 && frame->writer == nullptr) {
+      EraseFrameLocked(frame);
+    }
   }
   /// Records/releases `account`'s hold (one pin) on a frame. nullptr =
   /// anonymous, not tracked. Call inside a MutateTracked fn alongside the
@@ -410,12 +492,26 @@ class BufferPool {
   void MutateTracked(Frame* f, Fn&& fn) REQUIRES(mu_) {
     const bool before = CountsAsRequired(*f);
     const bool before_ev = IsEvictable(*f);
+    WriteThroughLedger* const before_held =
+        IsWriteHeld(*f) ? f->writer : nullptr;
     fn();
     const bool after = CountsAsRequired(*f);
     const bool after_ev = IsEvictable(*f);
+    WriteThroughLedger* const after_held =
+        IsWriteHeld(*f) ? f->writer : nullptr;
     if (before != after) {
       required_bytes_ +=
           (after ? 1 : -1) * static_cast<int64_t>(f->data.size());
+    }
+    if (before_held != after_held) {
+      const int64_t sz = static_cast<int64_t>(f->data.size());
+      if (before_held != nullptr) before_held->held_bytes -= sz;
+      if (after_held != nullptr) {
+        const int64_t held = after_held->held_bytes += sz;
+        if (held > after_held->peak_held_bytes.load()) {
+          after_held->peak_held_bytes = held;
+        }
+      }
     }
     RechargeLocked(f);
     if (before_ev != after_ev) {

@@ -264,11 +264,12 @@ class ThrottledEnv : public Env {
 
 class FaultyFile : public File {
  public:
-  FaultyFile(std::unique_ptr<File> base, std::atomic<int64_t>* budget)
-      : base_(std::move(base)), budget_(budget) {}
+  FaultyFile(std::unique_ptr<File> base, std::atomic<int64_t>* budget,
+             FaultOps ops)
+      : base_(std::move(base)), budget_(budget), ops_(ops) {}
 
   Status Read(uint64_t offset, size_t n, void* buf) override {
-    if (budget_->fetch_sub(1) <= 0) {
+    if (ops_ == FaultOps::kAll && budget_->fetch_sub(1) <= 0) {
       return Status::IoError("injected read fault");
     }
     return base_->Read(offset, n, buf);
@@ -285,19 +286,20 @@ class FaultyFile : public File {
  private:
   std::unique_ptr<File> base_;
   std::atomic<int64_t>* budget_;
+  FaultOps ops_;
 };
 
 class FaultyEnv : public Env {
  public:
-  FaultyEnv(Env* base, int64_t fail_after_ops)
-      : base_(base), budget_(fail_after_ops) {}
+  FaultyEnv(Env* base, int64_t fail_after_ops, FaultOps ops)
+      : base_(base), budget_(fail_after_ops), ops_(ops) {}
 
   Result<std::unique_ptr<File>> OpenFile(const std::string& path,
                                          bool create) override {
     auto f = base_->OpenFile(path, create);
     if (!f.ok()) return f.status();
     return std::unique_ptr<File>(
-        new FaultyFile(std::move(f).ValueOrDie(), &budget_));
+        new FaultyFile(std::move(f).ValueOrDie(), &budget_, ops_));
   }
   Status DeleteFile(const std::string& path) override {
     return base_->DeleteFile(path);
@@ -309,6 +311,7 @@ class FaultyEnv : public Env {
  private:
   Env* base_;
   std::atomic<int64_t> budget_;
+  FaultOps ops_;
 };
 
 }  // namespace
@@ -323,8 +326,9 @@ std::unique_ptr<Env> NewThrottledEnv(Env* base, double read_mb_per_s,
                                         per_request_ms, sleep_scale);
 }
 
-std::unique_ptr<Env> NewFaultyEnv(Env* base, int64_t fail_after_ops) {
-  return std::make_unique<FaultyEnv>(base, fail_after_ops);
+std::unique_ptr<Env> NewFaultyEnv(Env* base, int64_t fail_after_ops,
+                                  FaultOps ops) {
+  return std::make_unique<FaultyEnv>(base, fail_after_ops, ops);
 }
 
 }  // namespace riot

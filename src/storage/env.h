@@ -107,11 +107,17 @@ std::unique_ptr<Env> NewThrottledEnv(Env* base, double read_mb_per_s,
                                      double per_request_ms = 0.0,
                                      double sleep_scale = 0.0);
 
+/// Which operations a FaultyEnv counts and fails.
+enum class FaultOps { kAll, kWrites };
+
 /// \brief Failure injection: wraps `base` (not owned) and fails every
-/// Read/Write with IoError once `fail_after_ops` operations have succeeded
-/// (counted across all files). Used to test error propagation through the
-/// storage, executor, and benchmark layers.
-std::unique_ptr<Env> NewFaultyEnv(Env* base, int64_t fail_after_ops);
+/// counted operation with IoError once `fail_after_ops` of them have
+/// succeeded (counted across all files). kAll counts Reads and Writes;
+/// kWrites counts and fails only Writes (reads always pass), so the
+/// (fail_after_ops + 1)-th write is the first to fail. Used to test error
+/// propagation through the storage, executor, and benchmark layers.
+std::unique_ptr<Env> NewFaultyEnv(Env* base, int64_t fail_after_ops,
+                                  FaultOps ops = FaultOps::kAll);
 
 }  // namespace riot
 

@@ -8,12 +8,12 @@
 // Requests against the same BlockStore are serialized with a per-store
 // lock (store implementations are not required to support concurrent
 // access); requests against different stores proceed in parallel across
-// workers. The executor's write-through writes stay synchronous on the
-// kernel threads — write ordering doubles as the dependence barrier the
-// prefetcher relies on — but the BufferPool's write-behind hands dirty
-// eviction victims (spills) to the same workers via WriteBlockAsync, whose
-// completion is delivered through a caller callback instead of the read
-// completion queue (the queue's consumers only ever expect reads).
+// workers. The BufferPool's write-behind hands the serial executor's
+// write-throughs and dirty eviction victims (spills) to the same workers
+// via WriteBlockAsync, whose completion is delivered through a caller
+// callback instead of the read completion queue (the queue's consumers
+// only ever expect reads); the pool's write barrier, not submission order,
+// orders later reads of a block after its write.
 //
 // Channels make one pool shareable between concurrent consumers (the
 // session runtime's tenants): each channel is an independent submission

@@ -324,28 +324,23 @@ void ValidateDagAgainstBruteForce(const AccessScript& script,
   }
 }
 
-class SweepOracleTest : public ::testing::TestWithParam<uint64_t> {};
+// The plans the engine oracles run per program: the original schedule with
+// no sharing, and — when the solver finds one — a schedule realizing up to
+// two sharing opportunities, which exercises saved reads, retention, and
+// elision. (Direct analysis + solver instead of the full optimizer: an
+// oracle needs one realized plan per program, not the whole plan space.)
+struct OraclePlan {
+  Schedule schedule;
+  std::vector<const CoAccess*> q;  // into the caller's AnalysisResult
+  PlanCost cost;
+};
 
-TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
-  const uint64_t seed = GetParam();
-  GeneratedProgram g = Generate(seed);
-  ASSERT_TRUE(g.program.Validate().ok());
-
-  // Two plans per program: the original schedule with no sharing, and a
-  // solver schedule realizing up to two sharing opportunities — the latter
-  // exercises saved reads, retention, and elision under parallel dispatch.
-  // (Direct analysis + solver instead of the full optimizer: the oracle
-  // needs one realized plan per program, not the whole plan space.)
-  AnalysisResult analysis = AnalyzeProgram(g.program);
+std::vector<OraclePlan> OraclePlans(const GeneratedProgram& g,
+                                    const AnalysisResult& analysis) {
+  std::vector<OraclePlan> plans;
+  const Schedule& orig = g.program.original_schedule();
+  plans.push_back({orig, {}, EvaluatePlanCost(g.program, orig, {})});
   ScheduleSolver solver(g.program, analysis.dependences);
-  struct PlanCase {
-    const Schedule* schedule;
-    std::vector<const CoAccess*> q;
-    bool has_cost = false;
-    PlanCost cost;
-  };
-  std::vector<PlanCase> cases;
-  cases.push_back({&g.program.original_schedule(), {}, false, {}});
   std::optional<Schedule> shared_sched;
   std::vector<const CoAccess*> shared_q;
   size_t attempts = 0;
@@ -360,19 +355,30 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
     }
   }
   if (shared_sched.has_value()) {
-    PlanCase pc{&*shared_sched, shared_q, true,
-                EvaluatePlanCost(g.program, *shared_sched, shared_q)};
-    cases.push_back(pc);
+    plans.push_back({*shared_sched, shared_q,
+                     EvaluatePlanCost(g.program, *shared_sched, shared_q)});
   }
+  return plans;
+}
+
+class SweepOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
+  const uint64_t seed = GetParam();
+  GeneratedProgram g = Generate(seed);
+  ASSERT_TRUE(g.program.Validate().ok());
+
+  AnalysisResult analysis = AnalyzeProgram(g.program);
+  const std::vector<OraclePlan> cases = OraclePlans(g, analysis);
 
   auto env = NewMemEnv();
   for (size_t ci = 0; ci < cases.size(); ++ci) {
-    const PlanCase& pc = cases[ci];
+    const OraclePlan& pc = cases[ci];
     SCOPED_TRACE("seed " + std::to_string(seed) + " case " +
                  std::to_string(ci));
 
     // DAG oracle on this plan's script.
-    RealizedPlan rp = RealizePlan(g.program, *pc.schedule, pc.q);
+    RealizedPlan rp = RealizePlan(g.program, pc.schedule, pc.q);
     AccessScript script = BuildAccessScript(g.program, rp);
     InstanceDag dag = BuildInstanceDag(script);
     ValidateDagAgainstBruteForce(script, dag);
@@ -385,17 +391,15 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
     ExecStats ref_stats;
     {
       ExecOptions eo;
-      if (pc.has_cost) eo.memory_cap_bytes = pc.cost.peak_memory_bytes;
+      eo.memory_cap_bytes = pc.cost.peak_memory_bytes;
       Executor ex(g.program, ref_rt->raw(), g.kernels, eo);
-      auto st = ex.Run(*pc.schedule, pc.q);
+      auto st = ex.Run(pc.schedule, pc.q);
       ASSERT_TRUE(st.ok()) << st.status().ToString();
       ref_stats = *st;
-      if (pc.has_cost) {
-        // The serial engine stays cost-model-exact under the plan's own cap.
-        EXPECT_EQ(st->bytes_read, pc.cost.read_bytes);
-        EXPECT_EQ(st->bytes_written, pc.cost.write_bytes);
-        EXPECT_EQ(st->peak_required_bytes, pc.cost.peak_memory_bytes);
-      }
+      // The serial engine stays cost-model-exact under the plan's own cap.
+      EXPECT_EQ(st->bytes_read, pc.cost.read_bytes);
+      EXPECT_EQ(st->bytes_written, pc.cost.write_bytes);
+      EXPECT_EQ(st->peak_required_bytes, pc.cost.peak_memory_bytes);
       EXPECT_EQ(st->pool.dirty_writebacks, 0);
     }
 
@@ -414,21 +418,50 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
         eo.exec_threads = threads;
         eo.pipeline_depth = depth;
         eo.shared_pool = &pool;
-        if (threads == 1 && pc.has_cost) {
+        if (threads == 1) {
           // Serial configs must hold the plan's exact memory cap; parallel
           // ones may transiently need more (out-of-order retention).
           eo.shared_pool = nullptr;
           eo.memory_cap_bytes = pc.cost.peak_memory_bytes;
           Executor ex(g.program, rt->raw(), g.kernels, eo);
-          auto st = ex.Run(*pc.schedule, pc.q);
+          auto st = ex.Run(pc.schedule, pc.q);
           ASSERT_TRUE(st.ok()) << st.status().ToString();
           EXPECT_EQ(st->bytes_read, ref_stats.bytes_read);
           EXPECT_EQ(st->bytes_written, ref_stats.bytes_written);
           EXPECT_EQ(st->peak_required_bytes, ref_stats.peak_required_bytes);
           EXPECT_EQ(st->pool.dirty_writebacks, 0);
+          if (depth == 2) {
+            // Half a peak of headroom: the prefetch budget (cap - peak)
+            // and write-behind must move only timing — same I/O, same
+            // requirement, no wasted lookahead, no pin left behind.
+            SCOPED_TRACE("cap 1.5 x peak");
+            auto rt15 = OpenStores(env.get(), g.program, dir + "_c15");
+            ASSERT_TRUE(rt15.ok());
+            ASSERT_TRUE(InitIntegers(g.program, *rt15, g.inputs, seed).ok());
+            BufferPool pool15(pc.cost.peak_memory_bytes * 3 / 2);
+            ExecOptions eo15 = eo;
+            eo15.shared_pool = &pool15;
+            Executor ex15(g.program, rt15->raw(), g.kernels, eo15);
+            auto st15 = ex15.Run(pc.schedule, pc.q);
+            ASSERT_TRUE(st15.ok()) << st15.status().ToString();
+            EXPECT_EQ(st15->block_reads, ref_stats.block_reads);
+            EXPECT_EQ(st15->block_writes, ref_stats.block_writes);
+            EXPECT_EQ(st15->peak_required_bytes,
+                      ref_stats.peak_required_bytes);
+            EXPECT_EQ(st15->prefetch_wasted, 0);
+            EXPECT_EQ(pool15.PinnedFrames(), 0);
+            for (int arr : g.outputs) {
+              auto diff = MaxAbsDifference(
+                  g.program.array(arr),
+                  ref_rt->stores[static_cast<size_t>(arr)].get(),
+                  rt15->stores[static_cast<size_t>(arr)].get());
+              ASSERT_TRUE(diff.ok());
+              ASSERT_EQ(*diff, 0.0) << "array " << g.program.array(arr).name;
+            }
+          }
         } else {
           Executor ex(g.program, rt->raw(), g.kernels, eo);
-          auto st = ex.Run(*pc.schedule, pc.q);
+          auto st = ex.Run(pc.schedule, pc.q);
           ASSERT_TRUE(st.ok()) << st.status().ToString();
           EXPECT_EQ(st->bytes_written, ref_stats.bytes_written);
           EXPECT_EQ(st->pool.dirty_writebacks, 0);
@@ -451,6 +484,92 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepOracleTest,
                          ::testing::Range(uint64_t{1},
                                           uint64_t{1} + FuzzSeedCount()));
+
+// ---------------------------------------------------------------------------
+// Write-behind soak: the corpus at pipeline_depth 2 under caps of exactly
+// the plan's peak and 1.5 x peak. Healthy runs match the synchronous
+// reference bit for bit with the same I/O and requirement and no wasted
+// lookahead; runs whose k-th write fails end in IoError with no pin or
+// retention left, and the pool stays reusable. RIOT_FUZZ_SEEDS / 4 seeds.
+// ---------------------------------------------------------------------------
+
+class WriteBehindSoakTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WriteBehindSoakTest, CapsAndWriteFaultsStayExact) {
+  const uint64_t seed = GetParam();
+  GeneratedProgram g = Generate(seed);
+  ASSERT_TRUE(g.program.Validate().ok());
+  AnalysisResult analysis = AnalyzeProgram(g.program);
+  auto env = NewMemEnv();
+  int run_idx = 0;
+  for (const OraclePlan& pc : OraclePlans(g, analysis)) {
+    const std::string base = "/wb" + std::to_string(run_idx++);
+    auto ref_rt = OpenStores(env.get(), g.program, base + "_ref");
+    ASSERT_TRUE(ref_rt.ok());
+    ASSERT_TRUE(InitIntegers(g.program, *ref_rt, g.inputs, seed).ok());
+    ExecStats ref;
+    {
+      Executor ex(g.program, ref_rt->raw(), g.kernels);
+      auto st = ex.Run(pc.schedule, pc.q);
+      ASSERT_TRUE(st.ok()) << st.status().ToString();
+      ref = *st;
+    }
+    for (const int64_t cap :
+         {pc.cost.peak_memory_bytes, pc.cost.peak_memory_bytes * 3 / 2}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cap " +
+                   std::to_string(cap));
+      const std::string dir = base + "_" + std::to_string(cap);
+      BufferPool pool(cap);
+      ExecOptions eo;
+      eo.pipeline_depth = 2;
+      eo.shared_pool = &pool;
+      auto run = [&](Env* run_env) -> Result<ExecStats> {
+        {
+          // Fresh inputs: a failed run may have updated some in place.
+          auto init = OpenStores(env.get(), g.program, dir);
+          RIOT_RETURN_NOT_OK(init.status());
+          RIOT_RETURN_NOT_OK(InitIntegers(g.program, *init, g.inputs, seed));
+        }
+        auto rt = OpenStores(run_env, g.program, dir);
+        RIOT_RETURN_NOT_OK(rt.status());
+        Executor ex(g.program, rt->raw(), g.kernels, eo);
+        auto st = ex.Run(pc.schedule, pc.q);
+        EXPECT_EQ(pool.PinnedFrames(), 0);
+        EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+        if (st.ok()) {
+          for (int arr : g.outputs) {
+            auto diff = MaxAbsDifference(
+                g.program.array(arr),
+                ref_rt->stores[static_cast<size_t>(arr)].get(),
+                rt->stores[static_cast<size_t>(arr)].get());
+            EXPECT_TRUE(diff.ok() && *diff == 0.0)
+                << "array " << g.program.array(arr).name;
+          }
+        }
+        return st;
+      };
+      for (int64_t k = 0; k < ref.block_writes; ++k) {
+        SCOPED_TRACE("failing write " + std::to_string(k));
+        auto faulty = NewFaultyEnv(env.get(), k, FaultOps::kWrites);
+        auto st = run(faulty.get());
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.status().code(), StatusCode::kIoError)
+            << st.status().ToString();
+      }
+      auto st = run(env.get());
+      ASSERT_TRUE(st.ok()) << st.status().ToString();
+      EXPECT_EQ(st->block_reads, ref.block_reads);
+      EXPECT_EQ(st->block_writes, ref.block_writes);
+      EXPECT_EQ(st->peak_required_bytes, ref.peak_required_bytes);
+      EXPECT_EQ(st->prefetch_wasted, 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Soak, WriteBehindSoakTest,
+                         ::testing::Range(uint64_t{1},
+                                          uint64_t{1} +
+                                              FuzzSeedCount() / 4));
 
 // ---------------------------------------------------------------------------
 // Cache-simulator differential oracle: for every fuzzed program, plan case,

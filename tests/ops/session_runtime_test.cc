@@ -189,6 +189,103 @@ TEST(SessionRuntimeTest, ConcurrentSessionsShareInputsBitExact) {
   }
 }
 
+TEST(SessionRuntimeTest, TenantsWritingOneSharedOutputAtDepth2) {
+  // Two depth-2 sessions compute the same elementwise program from private
+  // copies of the same inputs into ONE shared output store, so both write
+  // every output block through one shared frame, on a disk slow enough
+  // that each write-behind is still in flight when the other tenant
+  // reaches the block. B runs one instance behind A: B's k-th kernel waits
+  // until A has started its (k+1)-th, so A has written block k out (behind
+  // or synchronously) while B holds, or is about to pin, the same frame.
+  // Neither tenant may crash, tear the block or leak a pin, and the output
+  // must equal the solo reference bit for bit.
+  Workload w = MakeElementwiseChain(1000);
+  ASSERT_EQ(w.program.statements().size(), 1u);  // fused: one write a block
+  ASSERT_EQ(w.output_arrays.size(), 1u);
+  const int out = w.output_arrays[0];
+  auto mem = NewMemEnv();
+  Runtime ref = MustSoloRun(w, mem.get(), "/ref", 11);
+  auto slow = NewThrottledEnv(mem.get(), 1000.0, 1000.0,
+                              /*per_request_ms=*/2.0, /*sleep_scale=*/1.0);
+  auto rt_a = OpenStores(slow.get(), w.program, "/a");
+  auto rt_b = OpenStores(slow.get(), w.program, "/b");
+  auto rt_z = OpenStores(slow.get(), w.program, "/z");
+  ASSERT_TRUE(rt_a.ok() && rt_b.ok() && rt_z.ok());
+  ASSERT_TRUE(InitInputs(w, *rt_a, 11).ok());
+  ASSERT_TRUE(InitInputs(w, *rt_b, 11).ok());
+
+  SessionRuntimeOptions opts;
+  opts.pool_cap_bytes = 8 * PlanPeakBytes(w);
+  SessionRuntime runtime(opts);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int a_calls = 0;
+  bool a_done = false;
+  int b_calls = 0;
+  StatementKernel inner = w.kernels[0];
+  std::vector<StatementKernel> kernels_a = w.kernels;
+  kernels_a[0] = [&, inner](const std::vector<int64_t>& iter,
+                            const std::vector<DenseView*>& views) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ++a_calls;
+    }
+    cv.notify_all();
+    inner(iter, views);
+  };
+  std::vector<StatementKernel> kernels_b = w.kernels;
+  kernels_b[0] = [&, inner](const std::vector<int64_t>& iter,
+                            const std::vector<DenseView*>& views) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      const int k = b_calls++;
+      cv.wait(lock, [&] { return a_done || a_calls >= k + 2; });
+    }
+    inner(iter, views);
+  };
+
+  Schedule sched = w.program.original_schedule();
+  auto make_spec = [&](const Runtime& mine,
+                       const std::vector<StatementKernel>* kernels) {
+    SessionSpec spec;
+    spec.program = &w.program;
+    spec.schedule = &sched;
+    spec.stores = mine.raw();
+    spec.stores[static_cast<size_t>(out)] =
+        rt_z->stores[static_cast<size_t>(out)].get();
+    spec.kernels = kernels;
+    spec.exec.pipeline_depth = 2;
+    return spec;
+  };
+
+  Result<SessionStats> ra = Status::Internal("unset");
+  Result<SessionStats> rb = Status::Internal("unset");
+  std::thread ta([&] {
+    ra = runtime.Run(make_spec(*rt_a, &kernels_a));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      a_done = true;
+    }
+    cv.notify_all();
+  });
+  std::thread tb([&] { rb = runtime.Run(make_spec(*rt_b, &kernels_b)); });
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  EXPECT_EQ(ra->exec.block_writes, rb->exec.block_writes);
+  EXPECT_TRUE(VerifyBitEqual(w.program.array(out),
+                             ref.stores[static_cast<size_t>(out)].get(),
+                             rt_z->stores[static_cast<size_t>(out)].get())
+                  .ok());
+  BufferPoolSnapshot snap = runtime.pool()->Snapshot();
+  EXPECT_EQ(snap.pinned_frames, 0);
+  EXPECT_EQ(snap.required_bytes, 0);
+  EXPECT_EQ(snap.pending_writebacks, 0);
+  EXPECT_EQ(runtime.stats().sessions_completed, 2);
+}
+
 TEST(SessionRuntimeTest, AdmissionParksUntilCapacityFrees) {
   // Deterministic parking: session A's kernel blocks on a gate while B —
   // whose reservation cannot coexist with A's — queues behind it. B must

@@ -3,10 +3,12 @@
 // corrupt.
 #include <gtest/gtest.h>
 
+#include "core/cost_model.h"
 #include "core/optimizer.h"
 #include "exec/executor.h"
 #include "exec/verify.h"
 #include "ops/runtime.h"
+#include "ops/session_runtime.h"
 #include "ops/workload.h"
 #include "storage/block_store.h"
 #include "storage/buffer_pool.h"
@@ -184,6 +186,119 @@ TEST(FaultInjectionTest, SerialPipelinedExecutorReleasesPinsOnError) {
     EXPECT_EQ(pool.PinnedFrames(), 0);
     EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
   }
+}
+
+// Every write of a depth-2 run goes through write-behind. Failing the k-th
+// write, for every k, must end the run with the write's IoError, leave no
+// pin or retention behind, and leave the pool reusable — in a solo serial
+// run and in a session run alike.
+class WriteBehindFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    mem_ = NewMemEnv();
+    auto ref = OpenStores(mem_.get(), w_.program, "/wb_ref");
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(InitInputs(w_, *ref, 5).ok());
+    Executor ex(w_.program, ref->raw(), w_.kernels);
+    auto st = ex.Run(w_.program.original_schedule(), {});
+    ASSERT_TRUE(st.ok());
+    writes_ = st->block_writes;
+    ASSERT_GT(writes_, 0);
+    ref_ = std::move(ref).ValueOrDie();
+    peak_ = EvaluatePlanCost(w_.program, w_.program.original_schedule(), {})
+                .peak_memory_bytes;
+  }
+
+  // Opens the stores through `env` after resetting the inputs on the
+  // healthy disk.
+  Result<Runtime> FreshStores(Env* env) {
+    {
+      auto init = OpenStores(mem_.get(), w_.program, "/wb");
+      RIOT_RETURN_NOT_OK(init.status());
+      RIOT_RETURN_NOT_OK(InitInputs(w_, *init, 5));
+    }
+    return OpenStores(env, w_.program, "/wb");
+  }
+
+  void ExpectOutputsMatchReference(const Runtime& rt) {
+    for (int arr : w_.output_arrays) {
+      auto d = MaxAbsDifference(
+          w_.program.array(arr), ref_.stores[static_cast<size_t>(arr)].get(),
+          rt.stores[static_cast<size_t>(arr)].get());
+      ASSERT_TRUE(d.ok());
+      EXPECT_EQ(*d, 0.0) << "array " << w_.program.array(arr).name;
+    }
+  }
+
+  Workload w_ = MakeExample1(2, 3, 1);
+  std::unique_ptr<Env> mem_;
+  Runtime ref_;
+  int64_t writes_ = 0;
+  int64_t peak_ = 0;
+};
+
+TEST_F(WriteBehindFaultTest, SerialRunFailsEveryWriteCleanly) {
+  BufferPool pool(peak_ * 3 / 2);
+  ExecOptions eo;
+  eo.pipeline_depth = 2;
+  eo.shared_pool = &pool;
+  for (int64_t k = 0; k < writes_; ++k) {
+    SCOPED_TRACE("failing write " + std::to_string(k));
+    auto env = NewFaultyEnv(mem_.get(), k, FaultOps::kWrites);
+    auto rt = FreshStores(env.get());
+    ASSERT_TRUE(rt.ok());
+    Executor ex(w_.program, rt->raw(), w_.kernels, eo);
+    auto stats = ex.Run(w_.program.original_schedule(), {});
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kIoError)
+        << stats.status().ToString();
+    EXPECT_EQ(pool.PinnedFrames(), 0);
+    EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+  }
+  // The same pool, healthy disk: the run succeeds with exact outputs.
+  auto rt = FreshStores(mem_.get());
+  ASSERT_TRUE(rt.ok());
+  Executor ex(w_.program, rt->raw(), w_.kernels, eo);
+  auto stats = ex.Run(w_.program.original_schedule(), {});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->block_writes, writes_);
+  ExpectOutputsMatchReference(*rt);
+}
+
+TEST_F(WriteBehindFaultTest, SessionRunFailsEveryWriteCleanly) {
+  SessionRuntimeOptions ro;
+  ro.pool_cap_bytes = peak_ * 3 / 2;
+  SessionRuntime runtime(ro);
+  const Schedule sched = w_.program.original_schedule();
+  auto run = [&](Env* env) -> Status {
+    auto rt = FreshStores(env);
+    RIOT_RETURN_NOT_OK(rt.status());
+    SessionSpec spec;
+    spec.program = &w_.program;
+    spec.schedule = &sched;
+    spec.stores = rt->raw();
+    spec.kernels = &w_.kernels;
+    spec.exec.pipeline_depth = 2;
+    Status st = runtime.Run(spec).status();
+    // Stores die with `rt`: drop their cached frames first.
+    for (BlockStore* store : spec.stores) {
+      RIOT_RETURN_NOT_OK(runtime.ReleaseStore(store));
+    }
+    if (st.ok()) ExpectOutputsMatchReference(*rt);
+    return st;
+  };
+  for (int64_t k = 0; k < writes_; ++k) {
+    SCOPED_TRACE("failing write " + std::to_string(k));
+    auto env = NewFaultyEnv(mem_.get(), k, FaultOps::kWrites);
+    Status st = run(env.get());
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+    EXPECT_EQ(runtime.pool()->PinnedFrames(), 0);
+    EXPECT_EQ(runtime.pool()->PinnedOrRetainedBytes(), 0);
+  }
+  Status st = run(mem_.get());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(runtime.stats().sessions_failed, writes_);
 }
 
 TEST(FaultInjectionTest, LabTreeOpenRejectsCorruptHeader) {

@@ -264,5 +264,117 @@ TEST_F(WriteBehindTest, InjectedWriteFailureSurfacesCleanly) {
   EXPECT_EQ(st.async_writebacks, 1);
 }
 
+TEST_F(WriteBehindTest, WriteThroughHoldsFrameUntilItLands) {
+  SlowWriteStore slow(store_.get(), /*write_delay_ms=*/100);
+  IoPool io(1);
+  BufferPool pool(2 * kBlock);
+  pool.SetPrefetchBudget(2 * kBlock);
+  WriteThroughLedger ledger;
+  auto f = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  ASSERT_TRUE(f.ok());
+  std::fill((*f)->data.begin(), (*f)->data.end(), 0xEF);
+  ASSERT_TRUE(pool.WriteThroughAsync(*f, /*caller_pins=*/1, &slow, &io,
+                                     /*channel=*/0, &ledger));
+  pool.Unpin(*f);
+
+  // In flight: resident and unevictable, but not required; the barrier
+  // turns a prefetch of the block away.
+  EXPECT_TRUE(pool.WriteInFlight(0, 0));
+  EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+  EXPECT_EQ(ledger.held_bytes.load(), kBlock);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 0, kBlock, &slow), nullptr);
+  auto f1 = pool.Fetch(0, 1, kBlock, &slow, /*load=*/false);
+  ASSERT_TRUE(f1.ok());
+  auto f2 = pool.Fetch(0, 2, kBlock, &slow, /*load=*/false);
+  EXPECT_EQ(f2.status().code(), StatusCode::kResourceExhausted);
+
+  ASSERT_TRUE(pool.AwaitOldestWrite(&ledger).ok());
+  EXPECT_FALSE(pool.WriteInFlight(0, 0));
+  EXPECT_EQ(ledger.landed.load(), 1);
+  EXPECT_TRUE(ledger.in_flight.empty());
+  EXPECT_EQ(ledger.held_bytes.load(), 0);
+  EXPECT_EQ(ledger.peak_held_bytes.load(), kBlock);
+  std::vector<uint8_t> buf(kBlock);
+  ASSERT_TRUE(store_->ReadBlock(0, buf.data()).ok());
+  EXPECT_EQ(buf[0], 0xEF);
+  EXPECT_EQ(buf[kBlock - 1], 0xEF);
+  f2 = pool.Fetch(0, 2, kBlock, &slow, /*load=*/false);  // evicts block 0
+  ASSERT_TRUE(f2.ok());
+  pool.Unpin(*f1);
+  pool.Unpin(*f2);
+  EXPECT_TRUE(pool.DrainWriteThroughs(&ledger).ok());
+}
+
+TEST_F(WriteBehindTest, WriteThroughDeclinesFrameAnotherHolderPins) {
+  // Two holders of one frame (co-tenants writing the same block): the
+  // first to write out must not queue a write the other may still tear by
+  // mutating the buffer; it is told to write synchronously instead. A
+  // holder that pins after a queued write waits for it before mutating.
+  SlowWriteStore slow(store_.get(), /*write_delay_ms=*/50);
+  IoPool io(1);
+  BufferPool pool(4 * kBlock);
+  WriteThroughLedger ledger;
+  auto a = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  auto b = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(*a, *b);
+  EXPECT_FALSE(pool.WriteThroughAsync(*a, /*caller_pins=*/1, &slow, &io,
+                                      /*channel=*/0, &ledger));
+  EXPECT_FALSE(pool.WriteInFlight(0, 0));
+  EXPECT_TRUE(ledger.in_flight.empty());
+  pool.Unpin(*a);
+
+  // Now the sole holder: queued.
+  std::fill((*b)->data.begin(), (*b)->data.end(), 0x5A);
+  ASSERT_TRUE(pool.WriteThroughAsync(*b, /*caller_pins=*/1, &slow, &io,
+                                     /*channel=*/0, &ledger));
+  pool.Unpin(*b);
+  auto c = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(pool.AwaitWrite(0, 0).ok());  // the barrier after the pin
+  std::vector<uint8_t> buf(kBlock);
+  ASSERT_TRUE(store_->ReadBlock(0, buf.data()).ok());
+  EXPECT_EQ(buf[0], 0x5A);
+  std::fill((*c)->data.begin(), (*c)->data.end(), 0x6B);
+  ASSERT_TRUE(pool.WriteThroughAsync(*c, /*caller_pins=*/1, &slow, &io,
+                                     /*channel=*/0, &ledger));
+  pool.Unpin(*c);
+  EXPECT_TRUE(pool.DrainWriteThroughs(&ledger).ok());
+  ASSERT_TRUE(store_->ReadBlock(0, buf.data()).ok());
+  EXPECT_EQ(buf[kBlock - 1], 0x6B);
+  EXPECT_EQ(ledger.landed.load(), 2);
+  EXPECT_EQ(pool.PinnedFrames(), 0);
+}
+
+TEST_F(WriteBehindTest, FailedWriteThroughPoisonsUntilDrained) {
+  auto faulty_env = NewFaultyEnv(env_.get(), 0, FaultOps::kWrites);
+  auto faulty = OpenDaf(faulty_env.get(), "/s", kBlock, 64);
+  ASSERT_TRUE(faulty.ok());
+  IoPool io(1);
+  BufferPool pool(4 * kBlock);
+  WriteThroughLedger ledger;
+  auto f = pool.Fetch(0, 0, kBlock, faulty->get(), /*load=*/false);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(pool.WriteThroughAsync(*f, /*caller_pins=*/1, faulty->get(),
+                                     &io, /*channel=*/0, &ledger));
+  pool.Unpin(*f);
+
+  // The failed frame is discarded, and the block stays poisoned: neither a
+  // barrier wait nor a reload may observe the stale disk image.
+  EXPECT_EQ(pool.AwaitWrite(0, 0).code(), StatusCode::kIoError);
+  EXPECT_TRUE(ledger.failed.load());
+  EXPECT_EQ(pool.Probe(0, 0), nullptr);
+  EXPECT_EQ(pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true)
+                .status()
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(pool.DrainWriteThroughs(&ledger).code(), StatusCode::kIoError);
+  auto again = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true);
+  ASSERT_TRUE(again.ok());
+  pool.Unpin(*again);
+  EXPECT_EQ(pool.PinnedFrames(), 0);
+  EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+}
+
 }  // namespace
 }  // namespace riot
