@@ -295,6 +295,11 @@ Result<ExecStats> Executor::RunSerial(
     if (pending.count(key) > 0) {
       return Issue::kHandled;  // one in-flight read per block is enough
     }
+    if (session != nullptr && pool.Probe(key.first, rec.block) != nullptr) {
+      // A session serves resident blocks from memory (the read dedup
+      // below); reading one from disk ahead of time would only add I/O.
+      return Issue::kHandled;
+    }
     BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
     BufferPool::Frame* f =
         pool.TryStartPrefetch(key.first, rec.block, rec.bytes, store);
@@ -601,12 +606,14 @@ Result<ExecStats> Executor::RunSerial(
         const size_t ai = static_cast<size_t>(rec.access_idx);
         if (frames[ai] == nullptr) continue;
         BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
-        // Write-behind unless a co-tenant also holds the frame (then it
-        // may still be mutating it: write it now, as at depth 0).
+        // Write-behind unless the write extends its store (the I/O
+        // workers never allocate; see storage/io_pool.h) or a co-tenant
+        // also holds the frame (then it may still be mutating it): those
+        // are written now, as at depth 0.
         const int own_pins = static_cast<int>(
             std::count(frames.begin(), frames.end(), frames[ai]));
         if (!rec.saved &&
-            !(write_behind &&
+            !(write_behind && store->HasBlock(rec.block) &&
               pool.WriteThroughAsync(frames[ai], own_pins, store, io,
                                      io_channel, &ledger))) {
           Status wst = sync_write(store, frames[ai]->block,

@@ -212,7 +212,8 @@ struct ExecStats {
   /// Peak bytes of frames held resident only by this run's in-flight
   /// write-throughs (writeback_async at pipeline_depth >= 1). Disjoint
   /// from peak_required_bytes: the plan needs these frames no longer, but
-  /// they count against the cap until their writes land.
+  /// they count against the cap until their writes land and the pool's
+  /// next call on a consumer thread reaps them (storage/buffer_pool.h).
   int64_t write_behind_peak_bytes = 0;
   /// Reads served by an adopted prefetched frame (pipeline_depth >= 1).
   int64_t prefetch_hits = 0;

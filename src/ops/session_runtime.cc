@@ -21,9 +21,7 @@ SessionRuntime::SessionRuntime(SessionRuntimeOptions options)
                                      options.admission_aging_seconds)),
       pool_(options.pool_cap_bytes, MakeReplacementPolicy(options.replacement)),
       io_(std::make_unique<IoPool>(std::max(1, options.io_threads))) {
-  int64_t prefetch = opts_.prefetch_budget_bytes;
-  if (prefetch <= 0) prefetch = opts_.pool_cap_bytes / 8;
-  pool_.SetPrefetchBudget(prefetch);
+  PublishHeadroom();
   if (opts_.writeback_async) pool_.SetWriteBehind(io_.get());
 }
 
@@ -69,6 +67,16 @@ void SessionRuntime::AdmitLocked() {
     admitted_any = true;
   }
   if (admitted_any) admit_cv_.NotifyAll();
+}
+
+void SessionRuntime::PublishHeadroom() {
+  MutexLock order(&headroom_mu_);
+  int64_t headroom = 0;
+  {
+    MutexLock lock(&mu_);
+    headroom = opts_.pool_cap_bytes - reserved_bytes_;
+  }
+  pool_.SetPrefetchBudget(headroom, /*count_write_held=*/true);
 }
 
 int SessionRuntime::PoolIdFor(BlockStore* store) {
@@ -164,6 +172,7 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
     out.admission_wait_seconds = Since(wait0);
     stats_.admission_wait_seconds += out.admission_wait_seconds;
   }
+  PublishHeadroom();
 
   // ---- bind the session into the shared pool's namespace ---------------
   PoolAccount account;
@@ -210,15 +219,19 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
       stats_.block_reads += run->block_reads;
       stats_.block_writes += run->block_writes;
       stats_.prefetch_hits += run->prefetch_hits;
+      stats_.prefetch_wasted += run->prefetch_wasted;
       stats_.policy_saved_reads += run->policy_saved_reads;
       stats_.session_parks += run->session_parks;
       stats_.io_seconds += run->io_seconds;
       stats_.compute_seconds += run->compute_seconds;
       stats_.wall_seconds += run->wall_seconds;
+      stats_.write_behind_peak_bytes = std::max(
+          stats_.write_behind_peak_bytes, run->write_behind_peak_bytes);
     } else {
       ++stats_.sessions_failed;
     }
   }
+  PublishHeadroom();
 
   if (!run.ok()) return run.status();
   out.budget_bytes = footprint;

@@ -34,6 +34,16 @@
 //     channels and dispatched round-robin, so one session's deep
 //     lookahead cannot starve another's.
 //
+//   * Plan-exact prefetch headroom — the shared pool's prefetch budget is
+//     the cap's unreserved headroom, pool_cap_bytes minus the admitted
+//     footprints, republished on every admit and release. Frames held
+//     only by landing write-behind count against it too, so lookahead
+//     never displaces what an admitted session's plan needs, and a fetch
+//     within a footprint never parks behind a prefetch. Sessions at
+//     pipeline_depth >= 1 (every serving job; see serve/catalog.h) prefetch
+//     into that headroom and write behind their kernels on the shared
+//     I/O workers.
+//
 //   * Stats — per-session ExecStats (+ budget peaks and park counts) and
 //     aggregate RuntimeStats across the runtime's lifetime.
 //
@@ -73,8 +83,6 @@ struct SessionRuntimeOptions {
   ReplacementKind replacement = ReplacementKind::kLru;
   /// Shared I/O workers servicing every session's prefetch traffic.
   int io_threads = 2;
-  /// Pool-wide prefetch lookahead budget; 0 = pool_cap_bytes / 8.
-  int64_t prefetch_budget_bytes = 0;
   /// Route write-through (sessions at pipeline_depth >= 1) and
   /// dirty-eviction spills through the shared I/O workers.
   bool writeback_async = true;
@@ -106,11 +114,11 @@ struct SessionSpec {
   std::vector<BlockStore*> stores;
   const std::vector<StatementKernel>* kernels = nullptr;
   /// Exec knobs honored per session: mode, strict_sharing, pipeline_depth
-  /// (prefetch on the shared IoPool). shared_pool / session /
-  /// memory_cap_bytes / exec_threads are owned by the runtime, as are the
-  /// pool-wide knobs (prefetch budget, write-behind —
-  /// SessionRuntimeOptions::writeback_async; the per-run
-  /// ExecOptions::writeback_async is ignored under a session).
+  /// (prefetch and write-behind on the shared IoPool). shared_pool /
+  /// session / memory_cap_bytes / exec_threads are owned by the runtime,
+  /// as are the pool-wide knobs (the prefetch budget is the unreserved
+  /// headroom; write-behind follows SessionRuntimeOptions::writeback_async
+  /// and the per-run ExecOptions::writeback_async is ignored).
   ExecOptions exec;
   /// Peak pinned+retained bytes the plan needs — the session's budget and
   /// admission reservation. 0 = derive exactly from the cost model.
@@ -152,11 +160,14 @@ struct RuntimeStats {
   int64_t block_reads = 0;
   int64_t block_writes = 0;
   int64_t prefetch_hits = 0;
+  int64_t prefetch_wasted = 0;
   int64_t policy_saved_reads = 0;
   int64_t session_parks = 0;
   double io_seconds = 0.0;
   double compute_seconds = 0.0;
   double wall_seconds = 0.0;  // summed across sessions (not elapsed time)
+  /// Maximum of the sessions' ExecStats::write_behind_peak_bytes.
+  int64_t write_behind_peak_bytes = 0;
   /// Pool-global counters snapshotted at stats() time: evictions and
   /// cross-session effects (coalesced loads, policy-saved reads) that no
   /// per-session ExecStats sum can attribute.
@@ -209,6 +220,12 @@ class SessionRuntime {
   /// every arrival and every completion, under mu_; wakes admitted
   /// waiters via admit_cv_.
   void AdmitLocked() REQUIRES(mu_);
+  /// Sets the shared pool's prefetch budget to the current unreserved
+  /// headroom. Called after every admit and release, outside mu_ (the
+  /// pool mutex never nests under it); headroom_mu_ orders concurrent
+  /// publishers, and each reads the reservation afresh, so the last one
+  /// always publishes the latest headroom.
+  void PublishHeadroom() EXCLUDES(mu_, headroom_mu_);
 
   const SessionRuntimeOptions opts_;
   const std::unique_ptr<AdmissionPolicy> admission_;
@@ -219,6 +236,7 @@ class SessionRuntime {
   /// held (executors hold pool state while Run() re-enters mu_ to merge
   /// stats; nesting the other way here would create an inversion window).
   /// stats() and ReleaseStore() both stage their pool calls outside mu_.
+  Mutex headroom_mu_ ACQUIRED_BEFORE(mu_);
   mutable Mutex mu_;
   CondVar admit_cv_;
   std::map<BlockStore*, int> pool_ids_ GUARDED_BY(mu_);

@@ -131,6 +131,9 @@ SessionSpec Catalog::Bind(const JobSpec& job, int slot) const {
   }
   spec.footprint_bytes = t.footprint_bytes;
   spec.expected_work_seconds = t.expected_work_seconds;
+  // The I/O pipeline at paper_io's depth: prefetch into the runtime's
+  // headroom and write-behind on its shared workers.
+  spec.exec.pipeline_depth = 2;
   return spec;
 }
 

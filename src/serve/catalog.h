@@ -18,6 +18,13 @@
 // throwaway, isolation is what matters. Footprints and expected work per
 // template are computed once from the cost model and stamped onto every
 // SessionSpec, so admission decisions cost nothing per job.
+//
+// Every bound job runs the I/O pipeline (pipeline_depth 2): the session
+// prefetches its plan's upcoming reads into the runtime's unreserved
+// headroom and writes its outputs behind its kernels on the runtime's
+// shared I/O workers (the first write of a fresh output block stays
+// synchronous: it extends the file). Outputs are bit-identical to the
+// depth-0 serial engine's; what moves is how long a job holds its slot.
 #ifndef RIOTSHARE_SERVE_CATALOG_H_
 #define RIOTSHARE_SERVE_CATALOG_H_
 
@@ -60,7 +67,8 @@ class Catalog {
   static Result<std::unique_ptr<Catalog>> Create(Env* env,
                                                  const CatalogOptions& opts);
 
-  /// The ready-to-run spec for `job` executing on worker `slot`. The
+  /// The ready-to-run spec for `job` executing on worker `slot`, at
+  /// pipeline_depth 2 (other ExecOptions at their defaults). The
   /// returned spec's pointers reference catalog-owned state; they are
   /// valid for the catalog's lifetime. Concurrent Bind calls are safe;
   /// two concurrent jobs may share a slot's stores only if they share the

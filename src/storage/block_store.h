@@ -25,7 +25,10 @@ class BlockStore {
   virtual Status ReadBlock(int64_t block_index, void* buf) = 0;
   virtual Status WriteBlock(int64_t block_index, const void* buf) = 0;
   /// True if the block has ever been written (always true for DAF within
-  /// the preallocated range).
+  /// the preallocated range). Unlike ReadBlock/WriteBlock, safe to call
+  /// while another thread reads or writes the store: the executor asks it
+  /// before handing a write to the I/O workers, and taking the store's
+  /// serialization lock would wait out the I/O they have in flight.
   virtual bool HasBlock(int64_t block_index) = 0;
   virtual Status Flush() { return Status::OK(); }
 

@@ -122,6 +122,7 @@ void BufferPool::RechargeLocked(Frame* f) {
 
 Status BufferPool::DrainWritebacksLocked(UniqueMutexLock& lock) {
   WaitAllWritebacksLocked(lock);
+  ReapLandedLocked();
   Status first = Status::OK();
   for (const auto& [key, pw] : pending_writes_) {
     if (!pw->status.ok() && first.ok()) first = pw->status;
@@ -136,13 +137,77 @@ BufferPool::Frame* BufferPool::Probe(int array_id, int64_t block) {
   return it == frames_.end() ? nullptr : &it->second;
 }
 
+void BufferPool::SubmitWriteLocked(IoPool* io, BlockStore* store,
+                                   int64_t block, const void* buf,
+                                   std::shared_ptr<PendingWrite> pw,
+                                   int channel) {
+  PendingWrite* landed = pw.get();
+  // `pw` rides in the callback so the entry outlives the write even when a
+  // drain clears the table first; the IoPool destroys the callback on a
+  // submitting thread.
+  io->WriteBlockAsync(
+      store, block, buf,
+      [this, landed, keep = std::move(pw)](Status st) {
+        MutexLock lock(&mu_);
+        landed->status = std::move(st);
+        landed->done = true;
+        // A spill's buffer (empty for a write-through) leaves the
+        // write-behind budget; the buffer itself is freed when reaped.
+        writeback_inflight_bytes_ -=
+            static_cast<int64_t>(landed->data.size());
+        ++landed_unreaped_;
+        // Under the lock: a woken drain may destroy the pool right after.
+        writeback_cv_.NotifyAll();
+      },
+      channel);
+}
+
+void BufferPool::ReapLandedLocked() {
+  for (auto it = pending_writes_.begin();
+       landed_unreaped_ > 0 && it != pending_writes_.end();) {
+    PendingWrite& pw = *it->second;
+    if (!pw.done || pw.reaped) {
+      ++it;
+      continue;
+    }
+    pw.reaped = true;
+    --landed_unreaped_;
+    const bool ok = pw.status.ok();
+    if (WriteThroughLedger* ledger = pw.ledger; ledger != nullptr) {
+      ledger->in_flight.erase(std::find(ledger->in_flight.begin(),
+                                        ledger->in_flight.end(), it->first));
+      if (!ok && !ledger->failed.exchange(true)) {
+        ledger->first_error = pw.status;
+      }
+      ++ledger->landed;
+      Frame* frame = pw.frame;
+      MutateTracked(frame, [&] {
+        frame->writer = nullptr;
+        if (!ok) {
+          // Contents never reached disk: never let them pass as cache.
+          frame->discarded = true;
+          frame->retentions.clear();
+        }
+      });
+      EraseIfReleasedLocked(frame);
+    } else if (!ok) {
+      // The spilled data cannot reach disk; keep only the status.
+      pw.data.clear();
+      pw.data.shrink_to_fit();
+    }
+    // A failed write's entry stays: it poisons the block until drained.
+    it = ok ? pending_writes_.erase(it) : std::next(it);
+  }
+}
+
 Status BufferPool::WaitWritebackLocked(UniqueMutexLock& lock,
                                        const Key& key) {
   for (;;) {
+    ReapLandedLocked();
     auto pit = pending_writes_.find(key);
     if (pit == pending_writes_.end()) return Status::OK();
     if (pit->second->done) {
-      // Completed-ok entries erase themselves; a lingering done entry is a
+      // Reaped successful entries are gone; a lingering done entry is a
       // failed write: the block's disk image is stale and its data is
       // gone. Surface the error instead of letting the caller reread
       // garbage (DrainWritebacks clears the poisoning).
@@ -157,7 +222,10 @@ Status BufferPool::WaitWritebackLocked(UniqueMutexLock& lock,
 Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
                                         int64_t incoming_bytes,
                                         bool for_prefetch) {
-  while (used_bytes_ + incoming_bytes > cap_bytes_) {
+  for (;;) {
+    // Landed write-throughs release their frames here.
+    ReapLandedLocked();
+    if (used_bytes_ + incoming_bytes <= cap_bytes_) break;
     // The policy orders candidates; dirty frames are unusable for a
     // prefetch-driven eviction (prefetch must never force a spill).
     auto usable = [&](const Key& k) {
@@ -180,14 +248,16 @@ Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
     if (f.dirty) {
       RIOT_CHECK(!for_prefetch);
       RIOT_CHECK(f.store != nullptr);
-      if (write_io_ != nullptr) {
+      // Only a block the store already has is written behind: extending
+      // the file may allocate, which the write workers must not.
+      if (write_io_ != nullptr && f.store->HasBlock(f.block)) {
         const int64_t fbytes = static_cast<int64_t>(f.data.size());
         // No write of a victim is pending. A spill erases its frame under
         // this lock, and Fetch/TryStartPrefetch never re-create it past
-        // the barrier. A write-through keeps its frame, but such a frame
-        // has a writer and is not evictable (IsEvictable) until the write
-        // has landed and, on success, erased its entry under this lock; a
-        // failed one discards the frame, which is not evictable either.
+        // the barrier. A victim has writer == nullptr (IsEvictable), so
+        // any write-through of the block has landed and been reaped —
+        // erasing its entry — above; a failed one discarded its frame,
+        // which is not evictable either.
         RIOT_CHECK(pending_writes_.count(victim) == 0);
         // In-flight write-behind buffers live outside the cap; bound them.
         const int64_t budget = std::max(cap_bytes_ / 4, fbytes);
@@ -211,26 +281,22 @@ Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
         used_bytes_ -= fbytes;
         policy_->OnErase(victim);
         frames_.erase(fit);
-        write_io_->WriteBlockAsync(
-            store, block, pw->data.data(),
-            [this, victim, pw, fbytes](Status st) {
-              MutexLock cb_lock(&mu_);
-              pw->done = true;
-              pw->status = std::move(st);
-              writeback_inflight_bytes_ -= fbytes;
-              if (pw->status.ok()) {
-                pending_writes_.erase(victim);
-              } else {
-                // The data cannot reach disk; keep only the status (the
-                // entry poisons the block until DrainWritebacks).
-                pw->data.clear();
-                pw->data.shrink_to_fit();
-              }
-              writeback_cv_.NotifyAll();
-            });
+        const void* buf = pw->data.data();
+        SubmitWriteLocked(write_io_, store, block, buf, std::move(pw),
+                          /*channel=*/0);
         continue;
       }
-      RIOT_RETURN_NOT_OK(f.store->WriteBlock(f.block, f.data.data()));
+      {
+        // With write-behind active, the write workers touch the store too;
+        // take its shared serialization lock.
+        std::shared_ptr<std::mutex> serial =
+            write_io_ != nullptr ? write_io_->store_mutex(f.store) : nullptr;
+        std::unique_lock<std::mutex> store_lock;
+        if (serial != nullptr) {
+          store_lock = std::unique_lock<std::mutex>(*serial);
+        }
+        RIOT_RETURN_NOT_OK(f.store->WriteBlock(f.block, f.data.data()));
+      }
       ++stats_.dirty_writebacks;
     }
     ++stats_.evictions;
@@ -245,6 +311,7 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
                                              PoolAccount* account,
                                              bool coalesce_loads) {
   UniqueMutexLock lock(&mu_);
+  ReapLandedLocked();
   Key key{array_id, block};
   bool counted_miss = false;
   // Residency is reported for the iteration that actually returns: a hit
@@ -428,6 +495,7 @@ void BufferPool::EraseFrameLocked(Frame* frame) {
 
 void BufferPool::Unpin(Frame* frame, PoolAccount* account) {
   MutexLock lock(&mu_);
+  ReapLandedLocked();
   RIOT_CHECK_GT(frame->pins, 0);
   MutateTracked(frame, [&] {
     --frame->pins;
@@ -544,48 +612,21 @@ bool BufferPool::WriteThroughAsync(Frame* frame, int caller_pins,
   const Key key{frame->array_id, frame->block};
   auto pw = std::make_shared<PendingWrite>();
   pw->ledger = ledger;
-  {
-    UniqueMutexLock lock(&mu_);
-    RIOT_CHECK_GT(frame->pins, 0) << "write-through of an unpinned frame";
-    // An earlier write of the block can only be the caller's own (another
-    // holder awaited it before touching the buffer); it lands first. The
-    // wait may drop the lock, so the pin check comes after it.
-    if (!WaitWritebackLocked(lock, key).ok() || frame->pins > caller_pins) {
-      return false;
-    }
-    // The pending entry is the barrier; `writer` keeps the frame resident.
-    pending_writes_[key] = pw;
-    ledger->in_flight.push_back(key);
-    MutateTracked(frame, [&] { frame->writer = ledger; });
+  pw->frame = frame;
+  UniqueMutexLock lock(&mu_);
+  RIOT_CHECK_GT(frame->pins, 0) << "write-through of an unpinned frame";
+  // An earlier write of the block can only be the caller's own (another
+  // holder awaited it before touching the buffer); it lands first. The
+  // wait may drop the lock, so the pin check comes after it.
+  if (!WaitWritebackLocked(lock, key).ok() || frame->pins > caller_pins) {
+    return false;
   }
-  io->WriteBlockAsync(
-      store, key.second, frame->data.data(),
-      [this, key, pw, frame](Status st) {
-        MutexLock lock(&mu_);
-        pw->done = true;
-        pw->status = std::move(st);
-        WriteThroughLedger* ledger = pw->ledger;
-        ledger->in_flight.erase(
-            std::find(ledger->in_flight.begin(), ledger->in_flight.end(), key));
-        ++ledger->landed;
-        if (pw->status.ok()) {
-          pending_writes_.erase(key);
-        } else if (!ledger->failed.exchange(true)) {
-          ledger->first_error = pw->status;
-        }
-        MutateTracked(frame, [&] {
-          frame->writer = nullptr;
-          if (!pw->status.ok()) {
-            // Contents never reached disk: never let them pass as cache.
-            frame->discarded = true;
-            frame->retentions.clear();
-          }
-        });
-        EraseIfReleasedLocked(frame);
-        // Under the lock: a woken drain may destroy the pool right after.
-        writeback_cv_.NotifyAll();
-      },
-      channel);
+  // The pending entry is the barrier; `writer` keeps the frame resident.
+  pending_writes_[key] = pw;
+  ledger->in_flight.push_back(key);
+  MutateTracked(frame, [&] { frame->writer = ledger; });
+  SubmitWriteLocked(io, store, key.second, frame->data.data(), std::move(pw),
+                    channel);
   return true;
 }
 
@@ -600,14 +641,19 @@ Status BufferPool::AwaitOldestWrite(WriteThroughLedger* ledger) {
   return WaitWritebackLocked(lock, ledger->in_flight.front());
 }
 
-bool BufferPool::WriteInFlight(int array_id, int64_t block) const {
+bool BufferPool::WriteInFlight(int array_id, int64_t block) {
   MutexLock lock(&mu_);
+  ReapLandedLocked();
   return pending_writes_.count({array_id, block}) > 0;
 }
 
 Status BufferPool::DrainWriteThroughs(WriteThroughLedger* ledger) {
   UniqueMutexLock lock(&mu_);
-  while (!ledger->in_flight.empty()) writeback_cv_.Wait(lock);
+  for (;;) {
+    ReapLandedLocked();
+    if (ledger->in_flight.empty()) break;
+    writeback_cv_.Wait(lock);
+  }
   // Successful writes erased themselves; what is left of the ledger's is
   // poison from failed ones.
   for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
@@ -621,8 +667,10 @@ BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
                                                 int64_t bytes,
                                                 BlockStore* store) {
   UniqueMutexLock lock(&mu_);
+  ReapLandedLocked();
   Key key{array_id, block};
-  if (prefetch_bytes_ + bytes > prefetch_budget_bytes_) {
+  const int64_t held = prefetch_counts_write_held_ ? write_held_bytes_ : 0;
+  if (prefetch_bytes_ + held + bytes > prefetch_budget_bytes_) {
     ++stats_.prefetch_declined;
     return nullptr;
   }
@@ -712,9 +760,10 @@ void BufferPool::AbandonPrefetch(Frame* frame) {
   load_cv_.NotifyAll();
 }
 
-void BufferPool::SetPrefetchBudget(int64_t bytes) {
+void BufferPool::SetPrefetchBudget(int64_t bytes, bool count_write_held) {
   MutexLock lock(&mu_);
   prefetch_budget_bytes_ = bytes;
+  prefetch_counts_write_held_ = count_write_held;
 }
 
 int64_t BufferPool::prefetch_bytes() const {
@@ -724,6 +773,7 @@ int64_t BufferPool::prefetch_bytes() const {
 
 void BufferPool::Drop(int array_id, int64_t block) {
   MutexLock lock(&mu_);
+  ReapLandedLocked();
   auto it = frames_.find({array_id, block});
   if (it == frames_.end()) return;
   Frame& f = it->second;
@@ -736,6 +786,7 @@ void BufferPool::Drop(int array_id, int64_t block) {
 
 int64_t BufferPool::DropArrayFrames(int array_id) {
   MutexLock lock(&mu_);
+  ReapLandedLocked();
   int64_t kept = 0;
   for (auto it = frames_.lower_bound({array_id, 0});
        it != frames_.end() && it->first.first == array_id;) {
@@ -810,7 +861,10 @@ BufferPoolSnapshot BufferPool::Snapshot() const {
   s.required_bytes = required_bytes_;
   s.prefetch_bytes = prefetch_bytes_;
   s.writeback_inflight_bytes = writeback_inflight_bytes_;
-  s.pending_writebacks = static_cast<int64_t>(pending_writes_.size());
+  for (const auto& [key, pw] : pending_writes_) {
+    // Landed successfully but not yet reaped: no longer pending.
+    if (!(pw->done && pw->status.ok())) ++s.pending_writebacks;
+  }
   for (const auto& [key, f] : frames_) {
     if (f.pins > 0) ++s.pinned_frames;
   }

@@ -34,6 +34,14 @@
 // A frame another holder also pins is never written behind: that holder
 // may still mutate it.
 //
+// A write's completion runs on an I/O worker, which must not allocate (see
+// storage/io_pool.h): it only marks the write landed and wakes waiters.
+// Everything that frees or allocates memory — erasing the pending entry,
+// the ledger bookkeeping, releasing the frame, the replacement policy's
+// evictable-set update — is reaped by the next pool call on a consumer
+// thread (or by a drain). For the same reason the caller writes behind
+// only blocks that already exist in their store.
+//
 // The pool is thread-safe: the pipelined executor's I/O workers fill
 // prefetch frames while kernel workers (one in the serial engine, many
 // under exec_threads > 1) concurrently fetch, pin, and retain.
@@ -340,7 +348,9 @@ class BufferPool {
   /// synchronously instead. Holders that pin the frame after this call
   /// must AwaitWrite before they touch the buffer. The check and the
   /// submission are one step under the pool lock, so one of the two
-  /// always applies.
+  /// always applies. Callers write behind only blocks `store` already has
+  /// (BlockStore::HasBlock): an extending write may allocate inside the
+  /// store, which the write workers must not.
   bool WriteThroughAsync(Frame* frame, int caller_pins, BlockStore* store,
                          IoPool* io, int channel, WriteThroughLedger* ledger)
       EXCLUDES(mu_);
@@ -354,7 +364,7 @@ class BufferPool {
   Status AwaitOldestWrite(WriteThroughLedger* ledger) EXCLUDES(mu_);
   /// True while a write of the block is in flight (or failed and
   /// undrained).
-  bool WriteInFlight(int array_id, int64_t block) const EXCLUDES(mu_);
+  bool WriteInFlight(int array_id, int64_t block) EXCLUDES(mu_);
   /// Waits for every write `ledger` owns; returns the first failure and
   /// clears the ledger's poisoned blocks, leaving other owners' writes
   /// untouched.
@@ -382,7 +392,13 @@ class BufferPool {
   /// not be able to satisfy a later probe).
   void AbandonPrefetch(Frame* frame) EXCLUDES(mu_);
   /// Max total bytes of frames in prefetch states; 0 disables prefetch.
-  void SetPrefetchBudget(int64_t bytes) EXCLUDES(mu_);
+  /// With `count_write_held`, frames held resident only by in-flight
+  /// write-throughs count against the budget too. The session runtime's
+  /// budget is the cap's unreserved headroom; counting those frames keeps
+  /// lookahead plus landing writes inside it, so a fetch within an
+  /// admitted footprint never has to wait for a prefetch.
+  void SetPrefetchBudget(int64_t bytes, bool count_write_held = false)
+      EXCLUDES(mu_);
   int64_t prefetch_bytes() const EXCLUDES(mu_);
 
   /// Drops the frame for (array_id, block) without write-back, if present,
@@ -431,8 +447,10 @@ class BufferPool {
     AlignedBuffer data;  // the evicted frame's buffer, moved in (empty for
                          // a write-through, which writes from its frame)
     Status status;
-    bool done = false;
+    bool done = false;    // landed (set by the completion callback)
+    bool reaped = false;  // landing bookkeeping done (ReapLandedLocked)
     WriteThroughLedger* ledger = nullptr;  // write-through owner
+    Frame* frame = nullptr;                // write-through source frame
   };
 
   /// The *Locked helpers take the caller's scoped lock where they may have
@@ -450,6 +468,16 @@ class BufferPool {
   /// WaitAllWritebacksLocked + collect the first failure and clear the
   /// pending table.
   Status DrainWritebacksLocked(UniqueMutexLock& lock) REQUIRES(mu_);
+  /// Hands `pw`'s write to the write workers. The completion only marks it
+  /// landed (no allocation on the worker); ReapLandedLocked does the rest.
+  void SubmitWriteLocked(IoPool* io, BlockStore* store, int64_t block,
+                         const void* buf, std::shared_ptr<PendingWrite> pw,
+                         int channel) REQUIRES(mu_);
+  /// Landing bookkeeping for every write that landed since the last call:
+  /// erases successful entries (failed ones stay as the block's poison),
+  /// frees a failed spill's buffer, and releases write-through frames into
+  /// their ledgers. Runs on consumer threads only.
+  void ReapLandedLocked() REQUIRES(mu_);
   void EraseFrameLocked(Frame* frame) REQUIRES(mu_);
   static bool CountsAsRequired(const Frame& f) {
     return f.state == FrameState::kRegular && (f.pins > 0 || f.retained());
@@ -505,8 +533,12 @@ class BufferPool {
     }
     if (before_held != after_held) {
       const int64_t sz = static_cast<int64_t>(f->data.size());
-      if (before_held != nullptr) before_held->held_bytes -= sz;
+      if (before_held != nullptr) {
+        before_held->held_bytes -= sz;
+        write_held_bytes_ -= sz;
+      }
       if (after_held != nullptr) {
+        write_held_bytes_ += sz;
         const int64_t held = after_held->held_bytes += sz;
         if (held > after_held->peak_held_bytes.load()) {
           after_held->peak_held_bytes = held;
@@ -530,6 +562,9 @@ class BufferPool {
   int64_t required_bytes_ GUARDED_BY(mu_) = 0;
   int64_t prefetch_bytes_ GUARDED_BY(mu_) = 0;
   int64_t prefetch_budget_bytes_ GUARDED_BY(mu_) = 0;
+  bool prefetch_counts_write_held_ GUARDED_BY(mu_) = false;
+  // Frames held resident only by in-flight write-throughs (IsWriteHeld).
+  int64_t write_held_bytes_ GUARDED_BY(mu_) = 0;
   /// Frame *metadata* (pins, retentions, state, dirty, ...) is mu_-guarded
   /// throughout; frames_ itself carries the annotation. Frame::data payloads
   /// are deliberately read and written by pin holders without the lock —
@@ -540,6 +575,8 @@ class BufferPool {
   IoPool* write_io_ GUARDED_BY(mu_) = nullptr;
   int64_t writeback_inflight_bytes_ GUARDED_BY(mu_) = 0;
   std::map<Key, std::shared_ptr<PendingWrite>> pending_writes_ GUARDED_BY(mu_);
+  // Entries of pending_writes_ that are done but not yet reaped.
+  int64_t landed_unreaped_ GUARDED_BY(mu_) = 0;
   CondVar writeback_cv_;
   CondVar load_cv_;  // coalesced-load completion
   BufferPoolStats stats_ GUARDED_BY(mu_);

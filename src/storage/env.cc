@@ -275,7 +275,8 @@ class FaultyFile : public File {
     return base_->Read(offset, n, buf);
   }
   Status Write(uint64_t offset, size_t n, const void* buf) override {
-    if (budget_->fetch_sub(1) <= 0) {
+    const int64_t left = budget_->fetch_sub(1);
+    if (ops_ == FaultOps::kOneWrite ? left == 0 : left <= 0) {
       return Status::IoError("injected write fault");
     }
     return base_->Write(offset, n, buf);

@@ -6,6 +6,12 @@
 
 namespace riot {
 
+namespace {
+thread_local bool t_on_worker = false;
+}  // namespace
+
+bool IoPool::OnWorkerThread() { return t_on_worker; }
+
 IoPool::IoPool(int num_threads) {
   RIOT_CHECK_GT(num_threads, 0);
   channels_.emplace(0, Channel{});  // the default channel always exists
@@ -22,6 +28,9 @@ IoPool::~IoPool() {
   }
   work_cv_.NotifyAll();
   for (auto& w : workers_) w.join();
+  MutexLock lock(&mu_);
+  retired_.DeleteAll();
+  for (auto& [id, ch] : channels_) ch.done.DeleteAll();  // never waited for
 }
 
 int IoPool::OpenChannel() {
@@ -44,59 +53,62 @@ void IoPool::CloseChannel(int channel) {
   channels_.erase(it);
 }
 
-void IoPool::ReadBlockAsync(BlockStore* store, int64_t block, void* buf,
-                            uint64_t tag, int channel) {
+void IoPool::Submit(std::unique_ptr<Request> req) {
+  req->serial = store_mutexes_.mutex_for(req->store).get();
+  RequestList retired;
   {
     MutexLock lock(&mu_);
     RIOT_CHECK(!stop_);
-    Channel& ch = channels_.at(channel);
-    Request req;
-    req.store = store;
-    req.block = block;
-    req.buf = buf;
-    req.tag = tag;
-    req.channel = channel;
-    ch.queue.push_back(std::move(req));
+    Channel& ch = channels_.at(req->channel);
+    // Writes do not bump outstanding: that counter feeds WaitCompletion,
+    // whose consumers only ever expect read completions.
+    if (!req->is_write) ++ch.outstanding;
+    ch.queue.PushBack(req.release());
     ++ch.queued;
-    ++ch.outstanding;
     ++queued_total_;
+    retired = retired_.Take();
   }
   work_cv_.NotifyOne();
+  retired.DeleteAll();
+}
+
+void IoPool::ReadBlockAsync(BlockStore* store, int64_t block, void* buf,
+                            uint64_t tag, int channel) {
+  auto req = std::make_unique<Request>();
+  req->store = store;
+  req->block = block;
+  req->buf = buf;
+  req->tag = tag;
+  req->channel = channel;
+  Submit(std::move(req));
 }
 
 void IoPool::WriteBlockAsync(BlockStore* store, int64_t block,
                              const void* buf,
                              std::function<void(Status)> on_done,
                              int channel) {
-  {
-    MutexLock lock(&mu_);
-    RIOT_CHECK(!stop_);
-    Channel& ch = channels_.at(channel);
-    Request req;
-    req.store = store;
-    req.block = block;
-    req.write_buf = buf;
-    req.channel = channel;
-    req.is_write = true;
-    req.on_done = std::move(on_done);
-    // Writes do not bump outstanding: that counter feeds WaitCompletion,
-    // whose consumers only ever expect read completions.
-    ch.queue.push_back(std::move(req));
-    ++ch.queued;
-    ++queued_total_;
-  }
-  work_cv_.NotifyOne();
+  auto req = std::make_unique<Request>();
+  req->store = store;
+  req->block = block;
+  req->write_buf = buf;
+  req->channel = channel;
+  req->is_write = true;
+  req->on_done = std::move(on_done);
+  Submit(std::move(req));
 }
 
 IoPool::Completion IoPool::WaitCompletion(int channel) {
-  UniqueMutexLock lock(&mu_);
-  Channel& ch = channels_.at(channel);
-  RIOT_CHECK_GT(ch.outstanding, 0) << "WaitCompletion with nothing submitted";
-  while (ch.done.empty()) done_cv_.Wait(lock);
-  Completion c = std::move(ch.done.front());
-  ch.done.pop_front();
-  --ch.outstanding;
-  return c;
+  std::unique_ptr<Request> req;
+  {
+    UniqueMutexLock lock(&mu_);
+    Channel& ch = channels_.at(channel);
+    RIOT_CHECK_GT(ch.outstanding, 0)
+        << "WaitCompletion with nothing submitted";
+    while (ch.done.empty()) done_cv_.Wait(lock);
+    req.reset(ch.done.PopFront());
+    --ch.outstanding;
+  }
+  return {req->tag, std::move(req->status)};
 }
 
 int64_t IoPool::outstanding(int channel) const {
@@ -105,8 +117,8 @@ int64_t IoPool::outstanding(int channel) const {
   return it == channels_.end() ? 0 : it->second.outstanding;
 }
 
-bool IoPool::PopNextLocked(Request* out) {
-  if (queued_total_ == 0) return false;
+IoPool::Request* IoPool::PopNextLocked() {
+  if (queued_total_ == 0) return nullptr;
   // Fair-share: start just past the channel served last and take the first
   // pending request in channel-id ring order, so every tenant's stream
   // advances before any stream gets a second turn.
@@ -115,55 +127,61 @@ bool IoPool::PopNextLocked(Request* out) {
     if (it == channels_.end()) it = channels_.begin();
     Channel& ch = it->second;
     if (!ch.queue.empty()) {
-      *out = std::move(ch.queue.front());
-      ch.queue.pop_front();
       --ch.queued;
       --queued_total_;
       rr_cursor_ = it->first;
-      return true;
+      return ch.queue.PopFront();
     }
     ++it;
   }
   RIOT_CHECK(false) << "queued_total_ out of sync with channel queues";
-  return false;
+  return nullptr;
 }
 
+// Allocation-free on the success path (see io_pool.h): requests are only
+// relinked, never created or destroyed, here.
 void IoPool::WorkerLoop() {
+  t_on_worker = true;
   for (;;) {
-    Request req;
-    std::shared_ptr<std::mutex> serial;
+    Request* req = nullptr;
     {
       UniqueMutexLock lock(&mu_);
       while (!stop_ && queued_total_ == 0) work_cv_.Wait(lock);
-      if (!PopNextLocked(&req)) return;  // stop_ set and queues drained
+      req = PopNextLocked();
     }
-    serial = store_mutexes_.mutex_for(req.store);
+    if (req == nullptr) break;  // stop_ set and queues drained
     Status st;
     {
-      std::lock_guard<std::mutex> store_lock(*serial);
+      std::lock_guard<std::mutex> store_lock(*req->serial);
       // Time inside the lock: waiting for another worker's turn at this
       // store is queueing, not disk time.
       auto t0 = std::chrono::steady_clock::now();
-      st = req.is_write ? req.store->WriteBlock(req.block, req.write_buf)
-                        : req.store->ReadBlock(req.block, req.buf);
+      st = req->is_write ? req->store->WriteBlock(req->block, req->write_buf)
+                         : req->store->ReadBlock(req->block, req->buf);
       auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
-      (req.is_write ? write_nanos_ : read_nanos_).fetch_add(nanos);
+      (req->is_write ? write_nanos_ : read_nanos_).fetch_add(nanos);
     }
-    if (req.is_write) {
+    if (req->is_write) {
       writes_completed_.fetch_add(1);
-      req.on_done(std::move(st));
+      req->on_done(std::move(st));
+      MutexLock lock(&mu_);
+      retired_.PushBack(req);
       continue;
     }
     reads_completed_.fetch_add(1);
+    req->status = std::move(st);
     {
       MutexLock lock(&mu_);
       // The channel cannot have been closed: it has this outstanding read.
-      channels_.at(req.channel).done.push_back({req.tag, std::move(st)});
+      auto it = channels_.find(req->channel);
+      RIOT_CHECK(it != channels_.end());
+      it->second.done.PushBack(req);
     }
     done_cv_.NotifyAll();
   }
+  t_on_worker = false;
 }
 
 }  // namespace riot

@@ -8,8 +8,8 @@
 // Requests against the same BlockStore are serialized with a per-store
 // lock (store implementations are not required to support concurrent
 // access); requests against different stores proceed in parallel across
-// workers. The BufferPool's write-behind hands the serial executor's
-// write-throughs and dirty eviction victims (spills) to the same workers
+// workers. The BufferPool's write-behind hands write-throughs (serial and
+// session runs) and dirty eviction victims (spills) to the same workers
 // via WriteBlockAsync, whose completion is delivered through a caller
 // callback instead of the read completion queue (the queue's consumers
 // only ever expect reads); the pool's write barrier, not submission order,
@@ -22,13 +22,27 @@
 // pending requests round-robin *across* channels, so one tenant's deep
 // prefetch lookahead cannot starve another's. Channel 0 always exists;
 // every legacy single-consumer call defaults to it.
+//
+// The workers never allocate. With glibc, the first malloc or free on a
+// thread binds that thread to an arena of its own (free sets up the
+// thread's tcache), and an arena keeps its freed pages: two busy I/O
+// workers that touch the heap hold two extra arenas of retained memory
+// for the life of the process. So every request is one node the
+// submitter allocates; a worker only relinks it — from its channel's
+// queue to the channel's done list (a read, freed by WaitCompletion) or to
+// a retired list (a write, freed by the next submit) — and the store
+// mutex is resolved at submit time. On the success path WorkerLoop and
+// everything it calls stay off the allocator, provided the store call and
+// the write callback do too: the BufferPool's callbacks only mark a write
+// landed, and it writes behind only blocks that already exist on disk
+// (an extending write may resize the file). Error paths may allocate (a
+// Status message). OnWorkerThread() lets tests verify this.
 #ifndef RIOTSHARE_STORAGE_IO_POOL_H_
 #define RIOTSHARE_STORAGE_IO_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,7 +65,7 @@ class StoreMutexMap {
  public:
   /// The handed-out per-store mutexes stay raw std::mutex: they leave this
   /// map for arbitrary executor/pool threads, outside any annotatable
-  /// scope.
+  /// scope. Entries are never erased, so a mutex lives as long as the map.
   std::shared_ptr<std::mutex> mutex_for(BlockStore* store) EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     auto it = map_.find(store);
@@ -101,7 +115,10 @@ class IoPool {
   /// read consumers (the executor's prefetcher) and write producers (the
   /// BufferPool's write-behind) can share one pool without seeing each
   /// other's completions. `on_done` runs without pool-internal locks held;
-  /// it may take its own locks but must not call back into this IoPool.
+  /// it may take its own locks but must not call back into this IoPool,
+  /// and it should not allocate (see the header comment). The callback
+  /// object itself is destroyed later on a submitting thread, so whatever
+  /// it captures is released off the workers.
   void WriteBlockAsync(BlockStore* store, int64_t block, const void* buf,
                        std::function<void(Status)> on_done, int channel = 0)
       EXCLUDES(mu_);
@@ -137,9 +154,15 @@ class IoPool {
   }
   int64_t writes_completed() const { return writes_completed_.load(); }
 
+  /// True on an IoPool worker thread (while it runs WorkerLoop).
+  static bool OnWorkerThread();
+
  private:
+  /// One request, allocated by its submitter and freed off the workers.
   struct Request {
+    Request* next = nullptr;  // intrusive link (RequestList)
     BlockStore* store = nullptr;
+    std::mutex* serial = nullptr;  // the store's mutex, resolved at submit
     int64_t block = -1;
     void* buf = nullptr;            // read target
     const void* write_buf = nullptr;  // write source (is_write)
@@ -147,19 +170,54 @@ class IoPool {
     int channel = 0;
     bool is_write = false;
     std::function<void(Status)> on_done;  // write completion callback
+    Status status;                        // read result
+  };
+
+  /// FIFO of requests linked through Request::next: moving a request from
+  /// one list to another relinks it and never allocates. A list owns its
+  /// requests; the IoPool frees whatever its lists still hold when it is
+  /// destroyed.
+  struct RequestList {
+    Request* head = nullptr;
+    Request* tail = nullptr;
+    bool empty() const { return head == nullptr; }
+    void PushBack(Request* r) {
+      r->next = nullptr;
+      (tail != nullptr ? tail->next : head) = r;
+      tail = r;
+    }
+    Request* PopFront() {
+      Request* r = head;
+      head = r->next;
+      if (head == nullptr) tail = nullptr;
+      r->next = nullptr;
+      return r;
+    }
+    /// Moves every request out, leaving this list empty.
+    RequestList Take() {
+      RequestList out = *this;
+      head = tail = nullptr;
+      return out;
+    }
+    void DeleteAll() {
+      while (!empty()) delete PopFront();
+    }
   };
 
   struct Channel {
-    std::deque<Request> queue;
-    std::deque<Completion> done;
+    RequestList queue;
+    RequestList done;         // completed reads, in completion order
     int64_t outstanding = 0;  // submitted reads not yet waited for
     int64_t queued = 0;       // requests (reads and writes) not yet popped
   };
 
+  /// Queues a submitter-built request on its channel, and frees the writes
+  /// retired since the last submit (outside mu_).
+  void Submit(std::unique_ptr<Request> req) EXCLUDES(mu_);
   void WorkerLoop() EXCLUDES(mu_);
-  /// Pops the next request round-robin across non-empty channels; false
+  /// Pops the next request round-robin across non-empty channels; nullptr
   /// when every channel queue is empty.
-  bool PopNextLocked(Request* out) REQUIRES(mu_);
+  Request* PopNextLocked() REQUIRES(mu_);
 
   mutable Mutex mu_;
   CondVar work_cv_;
@@ -169,6 +227,8 @@ class IoPool {
   // Channel id the next pop starts after.
   int rr_cursor_ GUARDED_BY(mu_) = 0;
   int64_t queued_total_ GUARDED_BY(mu_) = 0;
+  // Landed writes, waiting for a submitting thread to free them.
+  RequestList retired_ GUARDED_BY(mu_);
   StoreMutexMap store_mutexes_;
   bool stop_ GUARDED_BY(mu_) = false;
   std::atomic<int64_t> read_nanos_{0};

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <vector>
 
 #include "storage/block_store.h"
@@ -65,7 +66,7 @@ class LabTreeStore : public BlockStore {
 
   Status ReadBlock(int64_t block_index, void* buf) override {
     int64_t off;
-    if (!Lookup(block_index, &off)) {
+    if (!LockedLookup(block_index, &off)) {
       return Status::NotFound("LAB-tree: block " +
                               std::to_string(block_index) + " not present");
     }
@@ -75,11 +76,14 @@ class LabTreeStore : public BlockStore {
 
   Status WriteBlock(int64_t block_index, const void* buf) override {
     int64_t off;
-    if (!Lookup(block_index, &off)) {
-      off = hdr_.next_free_offset;
-      hdr_.next_free_offset += block_bytes_;
-      hdr_dirty_ = true;
-      RIOT_RETURN_NOT_OK(Insert(block_index, off));
+    {
+      std::lock_guard<std::mutex> lock(index_mu_);
+      if (!Lookup(block_index, &off)) {
+        off = hdr_.next_free_offset;
+        hdr_.next_free_offset += block_bytes_;
+        hdr_dirty_ = true;
+        RIOT_RETURN_NOT_OK(Insert(block_index, off));
+      }
     }
     return file_->Write(static_cast<uint64_t>(off),
                         static_cast<size_t>(block_bytes_), buf);
@@ -87,10 +91,11 @@ class LabTreeStore : public BlockStore {
 
   bool HasBlock(int64_t block_index) override {
     int64_t off;
-    return Lookup(block_index, &off);
+    return LockedLookup(block_index, &off);
   }
 
   Status Flush() override {
+    std::lock_guard<std::mutex> lock(index_mu_);
     for (auto& [id, node] : cache_) {
       if (node.dirty) {
         RIOT_RETURN_NOT_OK(WritePage(id, node));
@@ -198,6 +203,11 @@ class LabTreeStore : public BlockStore {
     RIOT_CHECK(it != page_offset_.end());
     return file_->Write(static_cast<uint64_t>(it->second), kPageBytes,
                         raw.data());
+  }
+
+  bool LockedLookup(int64_t key, int64_t* value) {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    return Lookup(key, value);
   }
 
   bool Lookup(int64_t key, int64_t* value) {
@@ -318,6 +328,9 @@ class LabTreeStore : public BlockStore {
   }
 
   std::unique_ptr<File> file_;
+  // Guards the index (header and node pages) but not data-extent I/O, so
+  // HasBlock never waits for a block read or write (BlockStore::HasBlock).
+  std::mutex index_mu_;
   Header hdr_;
   bool hdr_dirty_ = false;
   std::map<int64_t, Node> cache_;

@@ -101,6 +101,48 @@ TEST(SessionRuntimeTest, SingleSessionBitExactAndWithinBudget) {
   EXPECT_EQ(runtime.stats().sessions_completed, 1);
 }
 
+// The session prefetch budget is the pool's unreserved headroom (cap minus
+// admitted footprints, minus write-behind still landing): lookahead never
+// takes what the admitted plan needs, so nothing is ever cancelled.
+TEST(SessionRuntimeTest, DepthTwoLookaheadInHeadroomIsNeverWasted) {
+  Workload w = MakeExample1(3, 3, 3);
+  auto env = NewMemEnv();
+  Runtime ref = MustSoloRun(w, env.get(), "/ref", 5);
+
+  auto rt = OpenStores(env.get(), w.program, "/s0");
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE(InitInputs(w, *rt, 5).ok());
+
+  SessionRuntimeOptions opts;
+  opts.pool_cap_bytes = 2 * PlanPeakBytes(w);
+  SessionRuntime runtime(opts);
+
+  SessionSpec spec;
+  spec.program = &w.program;
+  Schedule sched = w.program.original_schedule();
+  spec.schedule = &sched;
+  spec.stores = rt->raw();
+  spec.kernels = &w.kernels;
+  spec.exec.pipeline_depth = 2;
+  auto r = runtime.Run(spec);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  EXPECT_GT(r->exec.prefetch_hits, 0);
+  EXPECT_EQ(r->exec.prefetch_wasted, 0);
+  EXPECT_EQ(r->exec.session_parks, 0);
+  const RuntimeStats rs = runtime.stats();
+  EXPECT_EQ(rs.prefetch_hits, r->exec.prefetch_hits);
+  EXPECT_EQ(rs.prefetch_wasted, 0);
+  EXPECT_EQ(rs.write_behind_peak_bytes, r->exec.write_behind_peak_bytes);
+  for (int arr : w.output_arrays) {
+    EXPECT_TRUE(VerifyBitEqual(w.program.array(arr),
+                               ref.stores[static_cast<size_t>(arr)].get(),
+                               rt->stores[static_cast<size_t>(arr)].get())
+                    .ok());
+  }
+  EXPECT_EQ(runtime.pool()->Snapshot().required_bytes, 0);
+}
+
 TEST(SessionRuntimeTest, ConcurrentSessionsShareInputsBitExact) {
   // Two sessions of the same program over the SAME input stores but
   // private outputs: frames of shared inputs dedup across sessions, and
