@@ -1,8 +1,8 @@
 // Replacement-policy x memory-cap sweep (paper Section 2: buffer-pool
 // sharing is "low-level, opportunistic, and extremely sensitive to ... the
 // replacement policy"). Runs the 2mm workload under the
-// opportunistic-cache ablation at shrinking caps with LRU, Clock, and
-// ScheduleOpt (Belady/MIN from the plan's access script), quantifying how
+// opportunistic-cache ablation at shrinking caps with LRU and ScheduleOpt
+// (Belady/MIN from the plan's access script), quantifying how
 // much of the LRU read traffic the schedule's foreknowledge eliminates —
 // and cross-checks each measured point against the cost model's cache
 // simulator.
@@ -68,8 +68,7 @@ void Run(BenchJson* json) {
     }
     int64_t lru_reads = 0;
     for (const ReplacementKind kind :
-         {ReplacementKind::kLru, ReplacementKind::kClock,
-          ReplacementKind::kScheduleOpt}) {
+         {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
       auto rt = OpenStores(env.get(), w.program,
                            "/swp" + std::to_string(run_idx++));
       rt.status().CheckOK();
@@ -199,8 +198,7 @@ void RunMultiTenant(BenchJson* json) {
   for (const int64_t cap : {tight_cap, total_bytes / 2, total_bytes}) {
     std::map<ReplacementKind, int64_t> total_reads;
     for (const ReplacementKind kind :
-         {ReplacementKind::kLru, ReplacementKind::kClock,
-          ReplacementKind::kScheduleOpt}) {
+         {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
       BufferPool pool(cap, MakeReplacementPolicy(kind));
       LockstepGate gate(kTenants, interleaving);
 

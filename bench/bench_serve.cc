@@ -229,8 +229,7 @@ void Run(const std::string& json_path) {
               "evictions", "tput/s", "p99(ms)");
   for (const int64_t cap : {tight_cap, 2 * tight_cap, 4 * tight_cap}) {
     for (const auto replacement :
-         {ReplacementKind::kLru, ReplacementKind::kClock,
-          ReplacementKind::kScheduleOpt}) {
+         {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
       ServePoint pt = RunOne(**catalog, AdmissionPolicyKind::kFifo,
                              replacement, cap, /*offered=*/20.0, kJobs);
       std::printf(

@@ -65,11 +65,12 @@ struct AccessScript {
   std::vector<std::pair<uint32_t, uint32_t>> per_pos;
   size_t num_groups = 0;
   /// Largest total byte footprint any single instance touches at once;
-  /// the per-worker headroom the parallel engine's prefetch budget leaves.
+  /// the headroom the prefetch budget leaves for each additional kernel
+  /// worker.
   int64_t max_instance_bytes = 0;
   /// Max over positions of RequiredBytesPerPosition: the plan's exact
-  /// memory requirement (equal to the cost model's peak). The serial
-  /// engine's prefetch budget is the cap's headroom over it.
+  /// memory requirement (equal to the cost model's peak). The prefetch
+  /// budget is the cap's headroom over it.
   int64_t peak_required_bytes = 0;
   /// Per-(array, block) ascending, deduplicated instance positions of use
   /// (every access, read or write). The per-block future-use iterators

@@ -7,34 +7,45 @@
 // memory or by I/O", retains shared blocks until their reuse, skips write
 // I/O for W->W-saved and elided writes, and displaces unneeded buffers.
 //
-// Two orthogonal forms of overlap, both derived from the optimizer's
-// perfect foreknowledge of the block access sequence — no heuristics, no
-// speculation:
+// There is one engine. Every run executes each statement instance through
+// the same step — pin all of its frames, apply retentions, run the kernel,
+// write out, unpin — and two orthogonal forms of overlap compose with it,
+// both derived from the optimizer's perfect foreknowledge of the block
+// access sequence (no heuristics, no speculation):
 //
 //   * I/O pipeline (ExecOptions::pipeline_depth): a prefetcher walks the
 //     plan's block access script (core/access_plan.h) up to `depth` groups
-//     ahead of the kernels, issuing asynchronous reads through an I/O
-//     worker pool while kernels run against completed frames, and the
-//     serial engine's write-through goes to the same workers behind the
-//     kernels (write-behind). Depth 0 degrades to the fully synchronous
-//     engine bit-for-bit.
+//     ahead of the completed instances, issuing asynchronous reads through
+//     an I/O worker pool while kernels run against completed frames, and
+//     every write-through goes to the same workers behind the kernels
+//     (write-behind). Depth 0 degrades to the fully synchronous engine
+//     bit-for-bit.
 //
-//   * Parallel kernel dispatch (ExecOptions::exec_threads): the script is
-//     lifted to a statement-instance dependence DAG (BuildInstanceDag) and
-//     ready instances are dispatched onto a pool of kernel workers,
-//     smallest scheduled position first. Workers acquire all of an
-//     instance's frames, run the kernel, perform the write-through, then
-//     release — so any interleaving the scheduler picks is a linear
-//     extension of the DAG and produces bit-for-bit the serial outputs.
-//     exec_threads = 1 (the default) runs the classic serial engine
-//     unchanged. With exec_threads > 1 the engine dedupes physically
-//     redundant reads (a non-saved read of a block still resident is
-//     served from the frame instead of re-touching disk), so I/O *counts*
-//     may come in under the cost model's serial prediction; outputs are
-//     unchanged. Parallel execution may transiently need more memory than
-//     the serial peak (out-of-order completions pin and retain early);
-//     memory-starved instances park and retry rather than fail, but a cap
-//     at exactly the serial peak is only guaranteed for exec_threads = 1.
+//   * Kernel workers (ExecOptions::exec_threads): the worker count changes
+//     only how the next instance is picked. One worker (the default) takes
+//     the next scheduled position on the calling thread, builds no
+//     dependence DAG and spawns no thread. N workers lift the script to a
+//     statement-instance dependence DAG (BuildInstanceDag) and pop ready
+//     instances, smallest scheduled position first. Scheduled order is a
+//     linear extension of the DAG, so every interleaving produces
+//     bit-for-bit the one-worker outputs.
+//
+// The read rule follows from the mode. A non-saved read of a resident
+// block is served from memory whenever another thread may hold the frame —
+// in session runs and with more than one worker — since re-reading disk
+// into a frame another worker is reading would be a data race; I/O counts
+// may then come in under the cost model's prediction, outputs never
+// change. A one-worker solo plan-exact run reads the plan's read set from
+// disk, so it matches EvaluatePlanCost exactly.
+//
+// Memory: workers may transiently need more than the plan's serial peak
+// (out-of-order completions pin and retain early). A memory-starved
+// instance releases its frames and parks; the frontier instance retries
+// alone before ResourceExhausted is real. Uncapped, over the 200-program
+// sweep corpus (random_program_test prints it as ParallelPeakRatio), the
+// largest ratio of a multi-worker run's peak_required_bytes to the
+// one-worker peak was 6.5, at 4 workers, in a Release run on a 4-vCPU
+// host. It varies between runs of one program (4.0 to 5.5 for seed 88).
 #ifndef RIOTSHARE_EXEC_EXECUTOR_H_
 #define RIOTSHARE_EXEC_EXECUTOR_H_
 
@@ -72,10 +83,10 @@ struct InstanceDag;
 ///     another's;
 ///   * cross-session store serialization (`store_mutexes`) for runs
 ///     without an I/O pool of their own.
-/// A session run executes on the serial engine (the sessions themselves
-/// are the parallelism), serves resident blocks from memory like the
-/// parallel engine's read dedup, and coalesces concurrent loads of one
-/// block across sessions onto a single disk read.
+/// A session run executes at one worker (the sessions themselves are the
+/// parallelism), serves resident blocks from memory (the read rule above),
+/// and coalesces concurrent loads of one block across sessions onto a
+/// single disk read.
 struct SessionBinding {
   PoolAccount* account = nullptr;
   /// Program array id -> shared-pool array id; empty = identity.
@@ -110,60 +121,48 @@ enum class ExecMode {
 
 struct ExecOptions {
   int64_t memory_cap_bytes = int64_t{1} << 40;
+  /// A saved read missing from the pool fails the run with kInternal (a
+  /// plan/realization bug) in either mode.
   ExecMode mode = ExecMode::kPlanExact;
-  /// When true, a saved read missing from the pool aborts (plan bug); when
-  /// false it falls back to a disk read.
-  bool strict_sharing = true;
   /// Lookahead of the prefetching pipeline, in schedule groups: the
   /// prefetcher walks the plan's block access script up to this many groups
   /// ahead of the kernels, issuing asynchronous disk reads so I/O overlaps
-  /// compute. Prefetched lookahead never violates the memory cap: the
-  /// serial engine budgets it at the cap's headroom over the plan's exact
-  /// peak (cap - peak, so it never needs cancelling), the parallel engine
-  /// at half the headroom over its workers' instance footprints. 0
-  /// (default) disables the pipeline and reproduces the synchronous engine
-  /// bit-for-bit — same I/O counts, same pool behavior. Ignored (treated
-  /// as 0) under kOpportunisticCache, which has no plan foreknowledge to
-  /// prefetch from.
+  /// compute, and write-through goes behind the kernels to the same I/O
+  /// workers. Prefetched lookahead never violates the memory cap: a solo
+  /// run budgets it at
+  ///   max(0, cap - plan peak - (exec_threads - 1) * max instance bytes),
+  /// the cap's headroom over the plan's exact peak and the other workers'
+  /// instance footprints (at one worker it never needs cancelling); a
+  /// session run uses the runtime's headroom budget. 0 (default) disables
+  /// the pipeline and reproduces the synchronous engine bit-for-bit — same
+  /// I/O counts, same pool behavior. Ignored (treated as 0) under
+  /// kOpportunisticCache, which has no plan foreknowledge to prefetch
+  /// from.
   int pipeline_depth = 0;
   /// I/O worker threads servicing prefetch reads and write-behind when
   /// pipeline_depth >= 1.
   int io_threads = 2;
-  /// Kernel worker threads. 1 (default) = the serial engine, bit-for-bit.
-  /// > 1 dispatches DAG-ready statement instances onto this many workers
-  /// (composable with pipeline_depth: the prefetcher keeps feeding frames
-  /// while workers drain them). Ignored (treated as 1) under
+  /// Kernel workers. 1 (default) runs instances in scheduled order on the
+  /// calling thread. > 1 dispatches DAG-ready statement instances onto
+  /// this many workers (composable with pipeline_depth: the prefetcher
+  /// keeps feeding frames while workers drain them) and serves resident
+  /// reads from memory (the read rule above). Ignored (treated as 1) under
   /// kOpportunisticCache — the ablation is defined against the serial
-  /// reference order.
+  /// reference order — and in session runs.
   int exec_threads = 1;
   /// Eviction policy for the run's private buffer pool (kLru reproduces
   /// the historical pool bit-for-bit; a shared_pool keeps its own policy).
   /// kScheduleOpt is Belady/MIN driven by the plan's access script: the
   /// executor binds every block's future-use positions before the run and
-  /// advances the policy's clock as instances complete — per position in
-  /// the serial engine, by completed frontier in the parallel one (a
-  /// linear extension of the DAG, so the clock never runs ahead of an
-  /// incomplete instance). It applies under both execution modes (the
-  /// schedule, and hence the access order, is exact even when the sharing
-  /// set is ignored). Concurrent runs over a shared pool each bind their
+  /// advances the policy's clock by the completed frontier as instances
+  /// complete (a linear extension of the DAG, so the clock never runs
+  /// ahead of an incomplete instance; at one worker, per position). It
+  /// applies under both execution modes (the schedule, and hence the
+  /// access order, is exact even when the sharing set is ignored). Concurrent runs over a shared pool each bind their
   /// own plan: ScheduleOpt merges the bound plans' future uses through
   /// per-plan normalized clocks (see storage/replacement.h); with no
   /// bound plan at all it is exact LRU.
   ReplacementKind replacement = ReplacementKind::kLru;
-  /// Write-behind: active only when the run has an IoPool
-  /// (pipeline_depth >= 1). The serial engine hands each non-saved
-  /// write-through to the I/O workers instead of writing on the kernel
-  /// thread; the frame stays resident (counted against the cap) until the
-  /// write lands, and a write barrier orders every later disk read,
-  /// prefetch or rewrite of the block after it. A frame a co-tenant also
-  /// holds is written synchronously. Dirty eviction victims
-  /// (spills, only possible when a shared pool carries dirty frames from
-  /// outside the run) go the same way instead of being written back under
-  /// the pool lock. The parallel engine keeps its synchronous
-  /// write-through. Forcing this off (or depth 0) reproduces the
-  /// historical synchronous write paths exactly. Session runs follow
-  /// SessionRuntimeOptions::writeback_async.
-  bool writeback_async = true;
   /// Optional caller-owned pool to run against instead of a private one
   /// (memory_cap_bytes is then ignored; the pool's own cap governs). Lets
   /// tests assert pin hygiene after a run — success or error — and is the
@@ -172,16 +171,15 @@ struct ExecOptions {
   /// only as clean, evictable cache, and a failed load's garbage frame is
   /// discarded rather than cached. Lingering frames mirror the stores as
   /// of the last run: a caller that mutates the stores out-of-band between
-  /// runs must use a fresh pool (or FlushAll), since the parallel engine
-  /// serves resident frames without re-touching disk.
+  /// runs must use a fresh pool (or FlushAll), since multi-worker runs
+  /// serve resident frames without re-touching disk.
   BufferPool* shared_pool = nullptr;
   /// Multi-tenant context (see SessionBinding). When set the run executes
-  /// on the serial engine regardless of exec_threads, never reconfigures
-  /// the shared pool's prefetch budget or write-behind (the session
-  /// runtime owns pool-wide knobs), and dedupes reads off residency like
-  /// the parallel engine, so I/O counts may come in under the serial
-  /// cost-model prediction. Outputs are unchanged. The binding must
-  /// outlive the run.
+  /// at one worker regardless of exec_threads, never reconfigures the
+  /// shared pool's prefetch budget or write-behind (the session runtime
+  /// owns pool-wide knobs), and serves resident reads from memory, so I/O
+  /// counts may come in under the cost-model prediction. Outputs are
+  /// unchanged. The binding must outlive the run.
   const SessionBinding* session = nullptr;
   /// Static plan-integrity lint (analysis/program_lint.h): the constructor
   /// lints the program and Run() lints every lowered plan before touching
@@ -210,7 +208,7 @@ struct ExecStats {
   /// (comparable to the cost model's prediction).
   int64_t peak_required_bytes = 0;
   /// Peak bytes of frames held resident only by this run's in-flight
-  /// write-throughs (writeback_async at pipeline_depth >= 1). Disjoint
+  /// write-throughs (write-behind, pipeline_depth >= 1). Disjoint
   /// from peak_required_bytes: the plan needs these frames no longer, but
   /// they count against the cap until their writes land and the pool's
   /// next call on a consumer thread reaps them (storage/buffer_pool.h).
@@ -224,20 +222,21 @@ struct ExecStats {
   double overlap_seconds = 0.0;
   /// Dependence-DAG levels (exec_threads > 1): the longest chain of
   /// instances — the number of sequential waves a perfectly parallel
-  /// machine still executes. 0 in the serial engine (no DAG is built).
+  /// machine still executes. 0 at one worker (no DAG is built).
   int64_t parallel_groups = 0;
   /// Peak number of instances simultaneously ready or running, observed at
   /// dispatch time (exec_threads > 1): > 1 means the DAG actually exposed
-  /// kernel parallelism on this run. 0 in the serial engine.
+  /// kernel parallelism on this run. 0 at one worker.
   int64_t max_ready_width = 0;
   /// Kernel time hidden behind other kernels by multi-threaded dispatch:
-  /// max(0, compute_seconds - wall_seconds). 0 in the serial engine.
+  /// max(0, compute_seconds - wall_seconds). 0 at one worker.
   double compute_overlap_seconds = 0.0;
   /// Disk reads avoided because the block was still resident when a read
   /// that carries no planned sharing came due: every cache-served read of
-  /// the kOpportunisticCache ablation, and the parallel engine's dedupe of
-  /// physically redundant reads. 0 in plan-exact serial runs (their read
-  /// set is the plan's, independent of residency). The replacement policy
+  /// the kOpportunisticCache ablation, and the resident reads of session
+  /// and multi-worker runs (the read rule). 0 in one-worker solo
+  /// plan-exact runs (their read set is the plan's, independent of
+  /// residency). The replacement policy
   /// is what moves this number.
   int64_t policy_saved_reads = 0;
   /// Session runs: times a starved fetch parked (budget or transient
@@ -269,10 +268,6 @@ class Executor {
                         const std::vector<const CoAccess*>& realized);
 
  private:
-  Result<ExecStats> RunSerial(const Schedule& schedule,
-                              const std::vector<const CoAccess*>& realized);
-  Result<ExecStats> RunParallel(const Schedule& schedule,
-                                const std::vector<const CoAccess*>& realized);
   /// Script-level lint of the lowered plan (ExecOptions::lint); OK when
   /// linting is off or the plan is clean.
   Status LintLoweredPlan(const RealizedPlan& rp, const AccessScript& script,

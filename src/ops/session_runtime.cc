@@ -22,7 +22,7 @@ SessionRuntime::SessionRuntime(SessionRuntimeOptions options)
       pool_(options.pool_cap_bytes, MakeReplacementPolicy(options.replacement)),
       io_(std::make_unique<IoPool>(std::max(1, options.io_threads))) {
   PublishHeadroom();
-  if (opts_.writeback_async) pool_.SetWriteBehind(io_.get());
+  pool_.SetWriteBehind(io_.get());
 }
 
 SessionRuntime::~SessionRuntime() {
@@ -198,7 +198,6 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
   eo.shared_pool = &pool_;
   eo.session = &binding;
   eo.exec_threads = 1;  // sessions are the parallelism
-  eo.writeback_async = opts_.writeback_async;  // write-behind is pool-wide
   eo.replacement = opts_.replacement;  // informational; the pool decides
 
   Executor ex(*spec.program, spec.stores, *spec.kernels, eo);

@@ -81,11 +81,10 @@ struct SessionRuntimeOptions {
   /// it now beats LRU under multi-tenancy too; LRU remains the cheapest
   /// default for workloads that never rebind the same blocks.
   ReplacementKind replacement = ReplacementKind::kLru;
-  /// Shared I/O workers servicing every session's prefetch traffic.
+  /// Shared I/O workers servicing every session's prefetch traffic, its
+  /// write-through (sessions at pipeline_depth >= 1) and dirty-eviction
+  /// spills.
   int io_threads = 2;
-  /// Route write-through (sessions at pipeline_depth >= 1) and
-  /// dirty-eviction spills through the shared I/O workers.
-  bool writeback_async = true;
   /// Safety margin added to every session's declared/derived footprint
   /// before admission (headroom for alignment and small plan errors).
   int64_t footprint_margin_bytes = 0;
@@ -113,12 +112,11 @@ struct SessionSpec {
   std::vector<const CoAccess*> realized;
   std::vector<BlockStore*> stores;
   const std::vector<StatementKernel>* kernels = nullptr;
-  /// Exec knobs honored per session: mode, strict_sharing, pipeline_depth
-  /// (prefetch and write-behind on the shared IoPool). shared_pool /
-  /// session / memory_cap_bytes / exec_threads are owned by the runtime,
-  /// as are the pool-wide knobs (the prefetch budget is the unreserved
-  /// headroom; write-behind follows SessionRuntimeOptions::writeback_async
-  /// and the per-run ExecOptions::writeback_async is ignored).
+  /// Exec knobs honored per session: mode, pipeline_depth (prefetch and
+  /// write-behind on the shared IoPool). shared_pool / session /
+  /// memory_cap_bytes / exec_threads are owned by the runtime, as are the
+  /// pool-wide knobs (the prefetch budget is the unreserved headroom, and
+  /// write-behind is always on).
   ExecOptions exec;
   /// Peak pinned+retained bytes the plan needs — the session's budget and
   /// admission reservation. 0 = derive exactly from the cost model.

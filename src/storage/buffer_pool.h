@@ -7,7 +7,7 @@
 // opportunities (keep-until-reuse). When the cap is hit, an unpinned,
 // unretained frame is evicted by the pool's pluggable ReplacementPolicy
 // (storage/replacement.h): LRU (the default — bit-for-bit the pool's
-// historical behavior), Clock, or ScheduleOpt, a Belady/MIN policy the
+// historical behavior) or ScheduleOpt, a Belady/MIN policy the
 // executor drives with the plan's known future block-access positions.
 // Victim selection is O(log n): the policies index evictable frames
 // directly instead of scanning the frame table past pinned/retained ones.
@@ -43,8 +43,8 @@
 // only blocks that already exist in their store.
 //
 // The pool is thread-safe: the pipelined executor's I/O workers fill
-// prefetch frames while kernel workers (one in the serial engine, many
-// under exec_threads > 1) concurrently fetch, pin, and retain.
+// prefetch frames while kernel workers (one by default, many under
+// exec_threads > 1) concurrently fetch, pin, and retain.
 // Prefetch has its own frame lifecycle (kPrefetching -> kPrefetched ->
 // adopted or abandoned) and its own budget, and is *never* allowed to
 // violate the cap, evict a pinned/retained/in-flight frame, or force a
@@ -251,10 +251,11 @@ class BufferPool {
   /// pending write first (and surfaces its error, if it failed).
   /// `account`, when set, charges the session ledger for newly-required
   /// bytes and refuses the fetch (kResourceExhausted) past its budget.
-  /// `coalesce_loads` (multi-tenant runs) makes a miss mark the frame
+  /// `coalesce_loads` (every executor fetch) makes a miss mark the frame
   /// `loading` — the caller MUST fill it and call MarkLoaded (or Discard
   /// on failure) — and makes a hit on a loading frame wait for that load,
-  /// so two sessions fetching the same block coalesce on one disk read.
+  /// so two workers or sessions fetching the same block coalesce on one
+  /// disk read.
   Result<Frame*> Fetch(int array_id, int64_t block, int64_t bytes,
                        BlockStore* store, bool load,
                        bool* was_resident = nullptr,

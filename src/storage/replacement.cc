@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <list>
 #include <set>
 #include <tuple>
 
@@ -13,7 +12,6 @@ namespace riot {
 std::string ReplacementKindName(ReplacementKind kind) {
   switch (kind) {
     case ReplacementKind::kLru: return "lru";
-    case ReplacementKind::kClock: return "clock";
     case ReplacementKind::kScheduleOpt: return "opt";
   }
   return "?";
@@ -75,78 +73,6 @@ class LruPolicy : public ReplacementPolicy {
   uint64_t next_seq_ = 0;
   std::map<PoolKey, uint64_t> last_seq_;
   std::map<uint64_t, PoolKey> evictable_;  // ordered: least recent first
-};
-
-// ---------------------------------------------------------------------------
-// Clock: second-chance sweep. Evictable frames live on a ring; a touch sets
-// the frame's reference bit; the hand clears bits until it finds an
-// unreferenced usable frame.
-// ---------------------------------------------------------------------------
-class ClockPolicy : public ReplacementPolicy {
- public:
-  ReplacementKind kind() const override { return ReplacementKind::kClock; }
-
-  void OnTouch(const PoolKey& key) override {
-    auto it = members_.find(key);
-    if (it != members_.end()) it->second.referenced = true;
-  }
-
-  void OnEvictable(const PoolKey& key) override {
-    // Insert just behind the hand: the new frame is the last the current
-    // sweep examines, with one full second chance.
-    auto pos = hand_ == ring_.end() ? ring_.end() : hand_;
-    auto it = ring_.insert(pos, key);
-    if (hand_ == ring_.end()) hand_ = it;
-    members_[key] = Member{it, true};
-  }
-
-  void OnProtected(const PoolKey& key) override { Remove(key); }
-
-  void OnErase(const PoolKey& key) override { Remove(key); }
-
-  void OnClear() override {
-    ring_.clear();
-    members_.clear();
-    hand_ = ring_.end();
-  }
-
-  bool PickVictim(const std::function<bool(const PoolKey&)>& usable,
-                  PoolKey* victim) override {
-    if (ring_.empty()) return false;
-    // Two full sweeps suffice: the first clears every reference bit, the
-    // second returns the first usable frame (or proves none is).
-    const size_t limit = 2 * ring_.size() + 1;
-    for (size_t i = 0; i < limit; ++i) {
-      if (hand_ == ring_.end()) hand_ = ring_.begin();
-      Member& m = members_.at(*hand_);
-      if (m.referenced) {
-        m.referenced = false;
-      } else if (usable(*hand_)) {
-        *victim = *hand_;
-        return true;
-      }
-      ++hand_;
-    }
-    return false;
-  }
-
- private:
-  struct Member {
-    std::list<PoolKey>::iterator it;
-    bool referenced = true;
-  };
-
-  void Remove(const PoolKey& key) {
-    auto it = members_.find(key);
-    if (it == members_.end()) return;
-    if (hand_ == it->second.it) ++hand_;
-    ring_.erase(it->second.it);
-    members_.erase(it);
-  }
-
-  std::list<PoolKey> ring_;
-  std::map<PoolKey, Member> members_;
-  std::list<PoolKey>::iterator hand_ = ring_.end();
 };
 
 // ---------------------------------------------------------------------------
@@ -407,8 +333,6 @@ std::unique_ptr<ReplacementPolicy> MakeReplacementPolicy(
   switch (kind) {
     case ReplacementKind::kLru:
       return std::make_unique<LruPolicy>();
-    case ReplacementKind::kClock:
-      return std::make_unique<ClockPolicy>();
     case ReplacementKind::kScheduleOpt:
       return std::make_unique<ScheduleOptPolicy>();
   }

@@ -1,6 +1,6 @@
 // Pluggable buffer-pool eviction policies. The BufferPool owns frame
 // lifecycle and accounting; a ReplacementPolicy only decides *which*
-// evictable frame goes next. Three implementations:
+// evictable frame goes next. Two implementations:
 //
 //   * Lru         — bit-for-bit the pool's historical behavior: victims in
 //                   least-recently-touched order. Evictable frames are kept
@@ -11,7 +11,6 @@
 //                   becomes evictable" intrusive list would be O(1) but
 //                   orders victims by unpin time, not touch time, changing
 //                   eviction behavior — the seq index keeps LRU exact.)
-//   * Clock       — classic second-chance sweep over evictable frames.
 //   * ScheduleOpt — Belady/MIN driven by the plans' block access scripts:
 //                   each executor binds its per-(array, block) future-use
 //                   positions (core/access_plan's BuildAccessScript emits
@@ -71,7 +70,7 @@ using PoolKey = std::pair<int, int64_t>;
 /// cost model's cache simulator.
 using BlockUseMap = std::map<PoolKey, std::vector<int64_t>>;
 
-enum class ReplacementKind { kLru, kClock, kScheduleOpt };
+enum class ReplacementKind { kLru, kScheduleOpt };
 
 std::string ReplacementKindName(ReplacementKind kind);
 

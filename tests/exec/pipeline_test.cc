@@ -95,9 +95,9 @@ TEST(PipelineTest, PipelinedPreservesIoCountsAndResults) {
 }
 
 TEST(PipelineTest, SharedPlanSemanticsUnchangedUnderPipeline) {
-  // strict_sharing + kPlanExact with realized opportunities: the pipeline
-  // must not disturb saved reads (served from retained memory), W->W saves,
-  // or write elision.
+  // kPlanExact with realized opportunities: the pipeline must not disturb
+  // saved reads (served from retained memory), W->W saves, or write
+  // elision.
   Workload w = MakeExample1(2, 3, 1);
   AnalysisResult a = AnalyzeProgram(w.program);
   ScheduleSolver solver(w.program, a.dependences);
@@ -114,7 +114,6 @@ TEST(PipelineTest, SharedPlanSemanticsUnchangedUnderPipeline) {
   for (int depth : {0, 2}) {
     ExecOptions opts;
     opts.pipeline_depth = depth;
-    ASSERT_TRUE(opts.strict_sharing);
     ExecStats st = MustRun(w, env.get(), "/sh" + std::to_string(depth), *s,
                            q, opts);
     // C never touches disk (n3 = 1, fully pipelined); E written once per
@@ -307,7 +306,6 @@ TEST(ParallelExecTest, SharedPlanSemanticsPreservedUnderThreads) {
     ExecOptions opts;
     opts.exec_threads = threads;
     opts.pipeline_depth = 2;
-    ASSERT_TRUE(opts.strict_sharing);
     Runtime rt1;
     ExecStats s1 = MustRun(w, env.get(), "/sp" + std::to_string(threads), *s,
                            q, opts, &rt1);

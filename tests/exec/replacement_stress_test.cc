@@ -52,8 +52,7 @@ TEST(ReplacementStressTest, PolicyCapSweepExactAndBeladyOrdered) {
     if (cap < unshared.peak_memory_bytes) continue;  // below instance needs
     std::map<ReplacementKind, int64_t> reads;
     for (const ReplacementKind kind :
-         {ReplacementKind::kLru, ReplacementKind::kClock,
-          ReplacementKind::kScheduleOpt}) {
+         {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
       SCOPED_TRACE("cap " + std::to_string(cap) + " policy " +
                    ReplacementKindName(kind));
       auto rt = OpenStores(env.get(), w.program,

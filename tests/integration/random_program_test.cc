@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -363,6 +364,32 @@ std::vector<OraclePlan> OraclePlans(const GeneratedProgram& g,
 
 class SweepOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Multi-worker runs may transiently need more memory than the one-worker
+// peak (out-of-order completions pin and retain early). The sweep records
+// the largest ratio of a multi-worker run's peak_required_bytes to the
+// one-worker peak and prints it when the suite ends: a measured bound,
+// reported rather than asserted (exec/executor.h quotes it).
+struct ParallelPeakRatio {
+  double max = 0.0;
+  uint64_t seed = 0;
+  int threads = 0;
+} g_parallel_peak_ratio;
+
+class ParallelPeakRatioReport : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (g_parallel_peak_ratio.max == 0.0) return;
+    std::printf(
+        "ParallelPeakRatio: max multi-worker / one-worker "
+        "peak_required_bytes = %.4f (seed %llu, %d workers)\n",
+        g_parallel_peak_ratio.max,
+        static_cast<unsigned long long>(g_parallel_peak_ratio.seed),
+        g_parallel_peak_ratio.threads);
+  }
+};
+[[maybe_unused]] ::testing::Environment* const kParallelPeakRatioReport =
+    ::testing::AddGlobalTestEnvironment(new ParallelPeakRatioReport);
+
 TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
   const uint64_t seed = GetParam();
   GeneratedProgram g = Generate(seed);
@@ -467,6 +494,14 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
           EXPECT_EQ(st->pool.dirty_writebacks, 0);
           EXPECT_EQ(pool.PinnedFrames(), 0);
           EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+          if (ref_stats.peak_required_bytes > 0) {
+            const double ratio =
+                static_cast<double>(st->peak_required_bytes) /
+                static_cast<double>(ref_stats.peak_required_bytes);
+            if (ratio > g_parallel_peak_ratio.max) {
+              g_parallel_peak_ratio = {ratio, seed, threads};
+            }
+          }
         }
         for (int arr : g.outputs) {
           auto diff = MaxAbsDifference(
@@ -632,8 +667,7 @@ TEST_P(CacheSimTest, SimulatorMatchesSerialEngineExactly) {
       const int64_t loose = int64_t{1} << 30;
       std::map<ReplacementKind, int64_t> tight_reads;
       for (const ReplacementKind kind :
-           {ReplacementKind::kLru, ReplacementKind::kClock,
-            ReplacementKind::kScheduleOpt}) {
+           {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
         for (const int64_t cap : {tight, loose}) {
           SCOPED_TRACE("seed " + std::to_string(seed) + " case " +
                        std::to_string(ci) + " mode " +
@@ -793,8 +827,7 @@ TEST_P(MultiTenantOracleTest, MergedClockMatchesSimulatorExactly) {
   std::map<ReplacementKind, int64_t> total_reads;
   int run_idx = 0;
   for (const ReplacementKind kind :
-       {ReplacementKind::kLru, ReplacementKind::kClock,
-        ReplacementKind::kScheduleOpt}) {
+       {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
     SCOPED_TRACE("seed " + std::to_string(seed) + " sessions " +
                  std::to_string(nsessions) + " policy " +
                  ReplacementKindName(kind) + " cap " + std::to_string(cap));

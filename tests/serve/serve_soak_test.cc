@@ -87,10 +87,6 @@ TEST(ServeSoakTest, ReplacementLru) {
   Soak(AdmissionPolicyKind::kFifo, ReplacementKind::kLru);
 }
 
-TEST(ServeSoakTest, ReplacementClock) {
-  Soak(AdmissionPolicyKind::kFifo, ReplacementKind::kClock);
-}
-
 TEST(ServeSoakTest, ReplacementScheduleOpt) {
   Soak(AdmissionPolicyKind::kFifo, ReplacementKind::kScheduleOpt);
 }

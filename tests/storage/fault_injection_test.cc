@@ -265,6 +265,35 @@ TEST_F(WriteBehindFaultTest, SerialRunFailsEveryWriteCleanly) {
   ExpectOutputsMatchReference(*rt);
 }
 
+TEST_F(WriteBehindFaultTest, ParallelRunFailsEveryWriteCleanly) {
+  BufferPool pool(peak_ * 3 / 2);
+  ExecOptions eo;
+  eo.exec_threads = 4;
+  eo.pipeline_depth = 2;
+  eo.shared_pool = &pool;
+  for (int64_t k = 0; k < writes_; ++k) {
+    SCOPED_TRACE("failing write " + std::to_string(k));
+    auto env = NewFaultyEnv(mem_.get(), k, FaultOps::kWrites);
+    auto rt = FreshStores(env.get());
+    ASSERT_TRUE(rt.ok());
+    Executor ex(w_.program, rt->raw(), w_.kernels, eo);
+    auto stats = ex.Run(w_.program.original_schedule(), {});
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kIoError)
+        << stats.status().ToString();
+    EXPECT_EQ(pool.PinnedFrames(), 0);
+    EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+  }
+  // The same pool, healthy disk: the run succeeds with exact outputs.
+  auto rt = FreshStores(mem_.get());
+  ASSERT_TRUE(rt.ok());
+  Executor ex(w_.program, rt->raw(), w_.kernels, eo);
+  auto stats = ex.Run(w_.program.original_schedule(), {});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->block_writes, writes_);
+  ExpectOutputsMatchReference(*rt);
+}
+
 TEST_F(WriteBehindFaultTest, SessionRunFailsEveryWriteCleanly) {
   SessionRuntimeOptions ro;
   ro.pool_cap_bytes = peak_ * 3 / 2;

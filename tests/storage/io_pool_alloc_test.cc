@@ -3,11 +3,12 @@
 // I/O workers holding two extra arenas show up in the process's resident
 // memory. This test replaces the global operator new/delete, counts the
 // calls made on IoPool worker threads (IoPool::OnWorkerThread), and runs
-// the two pipelines that put the workers to work — a depth-2 serial run
-// and a depth-2 SessionRuntime run with prefetch hits — over DAF stores on
-// a MemEnv whose output files start empty, so both the extending first
-// writes (kept synchronous on the consumer) and the overwrites (written
-// behind on the workers) occur. Every count must be zero.
+// the pipelines that put the workers to work — depth-2 runs at one and at
+// four kernel workers, and a depth-2 SessionRuntime run with prefetch
+// hits — over DAF stores on a MemEnv whose output files start empty, so
+// both the extending first writes (kept synchronous on the consumer) and
+// the overwrites (written behind on the workers) occur. Every count must
+// be zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -178,6 +179,36 @@ TEST(IoPoolAllocTest, SerialDepthTwoRunNeverAllocatesOnWorkers) {
   EXPECT_GT(stats->prefetch_hits, 0);
   EXPECT_GT(g_worker_writes.load(), 0);
   EXPECT_GT(g_consumer_writes.load(), 0);
+  ExpectOutputsEqual(w, ref, rt);
+}
+
+TEST(IoPoolAllocTest, ParallelDepthTwoRunNeverAllocatesOnWorkers) {
+  Workload w = MakeExample1(3, 3, 3);
+  auto env = NewMemEnv();
+  Runtime ref = MustOpen(w, env.get(), "/ref");
+  Executor(w.program, ref.raw(), w.kernels)
+      .Run(w.program.original_schedule(), {})
+      .status()
+      .CheckOK();
+
+  Runtime rt = MustOpen(w, env.get(), "/p4");
+  std::vector<std::unique_ptr<WriteSiteCounter>> counted;
+  std::vector<BlockStore*> stores;
+  for (BlockStore* s : rt.raw()) {
+    counted.push_back(std::make_unique<WriteSiteCounter>(s));
+    stores.push_back(counted.back().get());
+  }
+  ExecOptions opts;
+  opts.exec_threads = 4;
+  opts.pipeline_depth = 2;
+  g_worker_writes = 0;
+  const int64_t before = g_worker_calls.load();
+  auto stats = Executor(w.program, stores, w.kernels, opts)
+                   .Run(w.program.original_schedule(), {});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(g_worker_calls.load() - before, 0);
+  // The kernel workers wrote behind, too.
+  EXPECT_GT(g_worker_writes.load(), 0);
   ExpectOutputsEqual(w, ref, rt);
 }
 

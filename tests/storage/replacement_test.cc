@@ -1,7 +1,6 @@
 // Replacement-policy semantics through the BufferPool: LRU must reproduce
 // the historical single-list behavior exactly (victims in last-touch order
-// among evictable frames, pinned/retained frames transparent), Clock must
-// respect pins/retention and give referenced frames a second chance, and
+// among evictable frames, pinned/retained frames transparent), and
 // ScheduleOpt must evict by farthest-next-use under a bound plan, merge
 // several bound plans' futures through normalized per-plan clocks, and
 // degrade to LRU order without any.
@@ -68,44 +67,6 @@ TEST_F(ReplacementTest, LruReTouchMovesFrameBack) {
   Cache(&pool, 3);  // evicts b1, the least recently touched
   EXPECT_NE(pool.Probe(0, 0), nullptr);
   EXPECT_EQ(pool.Probe(0, 1), nullptr);
-}
-
-TEST_F(ReplacementTest, ClockSkipsPinnedAndRetained) {
-  BufferPool pool(3 * kBlock,
-                  MakeReplacementPolicy(ReplacementKind::kClock));
-  auto pinned = pool.Fetch(0, 0, kBlock, store_.get(), true);
-  ASSERT_TRUE(pinned.ok());
-  auto retained = pool.Fetch(0, 1, kBlock, store_.get(), true);
-  ASSERT_TRUE(retained.ok());
-  pool.Retain(*retained, /*until_group=*/9);
-  pool.Unpin(*retained);
-  Cache(&pool, 2);
-  Cache(&pool, 3);  // must evict b2 — the only evictable frame
-  EXPECT_NE(pool.Probe(0, 0), nullptr);
-  EXPECT_NE(pool.Probe(0, 1), nullptr);
-  EXPECT_EQ(pool.Probe(0, 2), nullptr);
-  pool.Unpin(*pinned);
-}
-
-TEST_F(ReplacementTest, ClockSecondChanceSurvivesOneSweep) {
-  BufferPool pool(3 * kBlock,
-                  MakeReplacementPolicy(ReplacementKind::kClock));
-  Cache(&pool, 0);
-  Cache(&pool, 1);
-  Cache(&pool, 2);
-  // Evictions clear reference bits; a full pass of inserts must cycle
-  // through every frame exactly once before any block is evicted twice.
-  Cache(&pool, 3);
-  Cache(&pool, 4);
-  Cache(&pool, 5);
-  EXPECT_EQ(pool.stats().evictions, 3);
-  // The three originals are gone; the three newest are resident.
-  EXPECT_EQ(pool.Probe(0, 0), nullptr);
-  EXPECT_EQ(pool.Probe(0, 1), nullptr);
-  EXPECT_EQ(pool.Probe(0, 2), nullptr);
-  EXPECT_NE(pool.Probe(0, 3), nullptr);
-  EXPECT_NE(pool.Probe(0, 4), nullptr);
-  EXPECT_NE(pool.Probe(0, 5), nullptr);
 }
 
 TEST_F(ReplacementTest, ScheduleOptEvictsFarthestNextUse) {
@@ -302,8 +263,8 @@ TEST_F(ReplacementTest, MergedClockSoleSurvivorResumesExactBelady) {
 }
 
 TEST_F(ReplacementTest, AllPoliciesFailCleanlyWhenEverythingIsPinned) {
-  for (ReplacementKind kind : {ReplacementKind::kLru, ReplacementKind::kClock,
-                               ReplacementKind::kScheduleOpt}) {
+  for (ReplacementKind kind :
+       {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
     SCOPED_TRACE(ReplacementKindName(kind));
     BufferPool pool(2 * kBlock, MakeReplacementPolicy(kind));
     auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);
