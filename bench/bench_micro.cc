@@ -3,11 +3,15 @@
 // buffer pool, dense kernels, and the two storage formats.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/coaccess.h"
 #include "core/cost_model.h"
 #include "core/schedule_solver.h"
 #include "ilp/ilp.h"
 #include "kernels/dense.h"
+#include "kernels/dense_tier.h"
 #include "ops/workload.h"
 #include "polyhedral/farkas.h"
 #include "polyhedral/polyhedron.h"
@@ -155,6 +159,54 @@ BENCHMARK_CAPTURE(GemmBench, naive_tt, GemmImpl::kNaive, true, true)
     ->Arg(256)->Arg(512)->Arg(768);
 BENCHMARK_CAPTURE(GemmBench, scalar_nn, GemmImpl::kScalar, false, false)
     ->Arg(256)->Arg(512);
+
+// Every GEMM block shape the paper_io end-to-end workload runs (perfbench/),
+// on each ISA tier this CPU supports; the public BlockGemm runs the widest.
+// No shape may be slower on a wide tier than on the baseline tier: the
+// short-output tiles exist for covariance's 1'X (m1_k1000_n100_tn).
+struct TierShape {
+  const char* name;
+  int64_t m, k, n;
+  bool trans_a;
+};
+constexpr TierShape kPaperIoShapes[] = {
+    {"m40_k35_n15_nn", 40, 35, 15, false},
+    {"m60_k40_n50_nn", 60, 40, 50, false},
+    {"m600_k40_n4_nn", 600, 40, 4, false},
+    {"m40_k40_n4_nn", 40, 40, 4, false},
+    {"m40_k600_n40_tn", 40, 600, 40, true},
+    {"m40_k600_n4_tn", 40, 600, 4, true},
+    {"m100_k1000_n100_tn", 100, 1000, 100, true},
+    {"m1_k1000_n100_tn", 1, 1000, 100, true},
+    {"m100_k1_n100_tn", 100, 1, 100, true}};
+
+void GemmTierBench(benchmark::State& state,
+                   const dense_internal::DenseTier* tier, TierShape s) {
+  std::vector<double> a(static_cast<size_t>(s.m * s.k)),
+      b(static_cast<size_t>(s.k * s.n)), c(static_cast<size_t>(s.m * s.n));
+  DenseView va{a.data(), s.trans_a ? s.k : s.m, s.trans_a ? s.m : s.k};
+  DenseView vb{b.data(), s.k, s.n}, vc{c.data(), s.m, s.n};
+  BlockFillRandom(&va, 1);
+  BlockFillRandom(&vb, 2);
+  for (auto _ : state) {
+    tier->gemm(va, s.trans_a, vb, false, &vc, /*accumulate=*/true, 1.0);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.k * s.n);
+}
+
+const bool kGemmTierBenchesRegistered = [] {
+  for (const dense_internal::DenseTier* tier :
+       dense_internal::SupportedTiers()) {
+    for (const TierShape& s : kPaperIoShapes) {
+      benchmark::RegisterBenchmark(
+          (std::string("GemmTier/") + tier->name + "/" + s.name).c_str(),
+          GemmTierBench, tier, s);
+    }
+  }
+  return true;
+}();
 
 // Elementwise single-pass kernels: bytes/s (2 streams in, 1 out).
 void BM_ElementwiseAdd(benchmark::State& state) {

@@ -39,15 +39,16 @@ done
 
 # Kernel microbenchmarks (google-benchmark binary, built only when the
 # library is present): GFLOP/s for packed vs naive vs scalar GEMM across
-# sizes/transposes, elementwise bandwidth, reduction bandwidth. For the
-# host's full-ISA numbers, point build_dir at a -DRIOT_NATIVE=ON tree
-# (the committed BENCH_kernels.json is a native run; the portable-build
-# run is kept as BENCH_kernels_baseline.json).
+# sizes/transposes, every paper_io GEMM shape on each ISA tier the host
+# supports, elementwise bandwidth, reduction bandwidth. Any build
+# runs the widest kernel tier the host supports (src/kernels/dense_tier.h);
+# BENCH_kernels_baseline.json keeps the run from before the tiers, when
+# default builds ran the SSE2 tile only.
 if [[ -x "${build_dir}/bench_micro" ]]; then
   out="${out_dir}/BENCH_kernels.json"
   echo "=== kernels -> ${out}"
   "${build_dir}/bench_micro" \
-    --benchmark_filter='GemmBench|BM_Elementwise|BM_SumSquares' \
+    --benchmark_filter='GemmBench|GemmTier|BM_Elementwise|BM_SumSquares' \
     --benchmark_out="${out}" --benchmark_out_format=json
 else
   echo "bench_micro not built (google-benchmark missing); skipping BENCH_kernels.json" >&2

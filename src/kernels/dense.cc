@@ -5,36 +5,48 @@
 #include <cstring>
 #include <vector>
 
-#include "util/aligned.h"
+#include "kernels/dense_tier.h"
 #include "util/logging.h"
 
 namespace riot {
 
+namespace dense_internal {
+
+std::vector<const DenseTier*> SupportedTiers() {
+  std::vector<const DenseTier*> tiers = {&kBaselineTier};
+#ifdef RIOT_DENSE_X86_TIERS
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    tiers.push_back(&kAvx2Tier);
+    if (__builtin_cpu_supports("avx512f")) tiers.push_back(&kAvx512Tier);
+  }
+#endif
+  return tiers;
+}
+
+const DenseTier& ActiveTier() {
+  static const DenseTier* const tier = SupportedTiers().back();
+  return *tier;
+}
+
+}  // namespace dense_internal
+
+using dense_internal::ActiveTier;
+
 void BlockAdd(const DenseView& a, const DenseView& b, DenseView* c) {
   RIOT_DCHECK(a.rows == b.rows && a.cols == b.cols);
   RIOT_DCHECK(a.rows == c->rows && a.cols == c->cols);
-  const int64_t n = a.elems();
-  const double* pa = a.data;
-  const double* pb = b.data;
-  double* pc = c->data;
-  for (int64_t i = 0; i < n; ++i) pc[i] = pa[i] + pb[i];
+  ActiveTier().add(a.data, b.data, c->data, a.elems());
 }
 
 void BlockSub(const DenseView& a, const DenseView& b, DenseView* c) {
   RIOT_DCHECK(a.rows == b.rows && a.cols == b.cols);
-  const int64_t n = a.elems();
-  const double* pa = a.data;
-  const double* pb = b.data;
-  double* pc = c->data;
-  for (int64_t i = 0; i < n; ++i) pc[i] = pa[i] - pb[i];
+  ActiveTier().sub(a.data, b.data, c->data, a.elems());
 }
 
 void BlockScale(const DenseView& a, double alpha, DenseView* c) {
   RIOT_DCHECK(a.rows == c->rows && a.cols == c->cols);
-  const int64_t n = a.elems();
-  const double* pa = a.data;
-  double* pc = c->data;
-  for (int64_t i = 0; i < n; ++i) pc[i] = alpha * pa[i];
+  ActiveTier().scale(a.data, alpha, c->data, a.elems());
 }
 
 void BlockAddDiag(const DenseView& a, double alpha, DenseView* c) {
@@ -70,164 +82,8 @@ void BlockZip(double (*fn)(double, double), const DenseView& a,
 void BlockFusedEval(const FusedOp* tape, int n_ops,
                     const double* const* inputs, double* out, int64_t n) {
   RIOT_DCHECK(n_ops >= 1 && n_ops <= kMaxFusedTapeOps);
-  // Strip-mined, op-outer: each tape op is one unit-stride loop over the
-  // current strip, so the loop vectorizer turns every arithmetic code into
-  // packed SIMD (map/zip strips stay scalar — indirect calls through user
-  // scalar fns can't vectorize). Intermediates never touch memory outside
-  // the strip rows, and a partial last strip runs the same loops with a
-  // shorter trip — per element the op sequence is identical everywhere,
-  // which keeps fused and unfused lowerings bit-identical.
-  double regs[kMaxFusedTapeOps][kFusedStripElems];
-  const int last = n_ops - 1;
-  for (int64_t i = 0; i < n; i += kFusedStripElems) {
-    const int64_t ws = std::min<int64_t>(kFusedStripElems, n - i);
-    for (int t = 0; t <= last; ++t) {
-      const FusedOp& op = tape[t];
-      double* __restrict__ dst = regs[t];
-      switch (op.code) {
-        case FusedOp::Code::kLoad: {
-          const double* __restrict__ src = inputs[op.a] + i;
-          for (int64_t j = 0; j < ws; ++j) dst[j] = src[j];
-          break;
-        }
-        case FusedOp::Code::kAdd: {
-          const double* ra = regs[op.a];
-          const double* rb = regs[op.b];
-          for (int64_t j = 0; j < ws; ++j) dst[j] = ra[j] + rb[j];
-          break;
-        }
-        case FusedOp::Code::kSub: {
-          const double* ra = regs[op.a];
-          const double* rb = regs[op.b];
-          for (int64_t j = 0; j < ws; ++j) dst[j] = ra[j] - rb[j];
-          break;
-        }
-        case FusedOp::Code::kScale: {
-          const double* ra = regs[op.a];
-          const double alpha = op.alpha;
-          for (int64_t j = 0; j < ws; ++j) dst[j] = alpha * ra[j];
-          break;
-        }
-        case FusedOp::Code::kMap: {
-          const double* ra = regs[op.a];
-          for (int64_t j = 0; j < ws; ++j) dst[j] = op.map_fn(ra[j]);
-          break;
-        }
-        case FusedOp::Code::kZip: {
-          const double* ra = regs[op.a];
-          const double* rb = regs[op.b];
-          for (int64_t j = 0; j < ws; ++j) {
-            dst[j] = op.zip_fn(ra[j], rb[j]);
-          }
-          break;
-        }
-      }
-    }
-    const double* rl = regs[last];
-    double* __restrict__ po = out + i;
-    for (int64_t j = 0; j < ws; ++j) po[j] = rl[j];
-  }
+  ActiveTier().fused_eval(tape, n_ops, inputs, out, n);
 }
-
-namespace {
-
-inline double Get(const DenseView& v, bool trans, int64_t r, int64_t c) {
-  return trans ? v.At(c, r) : v.At(r, c);
-}
-
-inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-
-// Pack an mc x kc panel of op(A) into MR-row tiles, absorbing trans_a.
-// Tile t holds op(A) rows [i0 + t*MR, i0 + t*MR + MR) as kc consecutive
-// MR-element columns: dst[t*kc*MR + p*MR + i]. Short edge tiles are
-// zero-padded so the microkernel never branches on m.
-void PackA(const DenseView& a, bool trans, int64_t i0, int64_t mb,
-           int64_t p0, int64_t kb, double* __restrict__ dst0) {
-  const int64_t tiles = CeilDiv(mb, kGemmMr);
-  for (int64_t t = 0; t < tiles; ++t) {
-    const int64_t ib = i0 + t * kGemmMr;
-    const int64_t mr = std::min<int64_t>(kGemmMr, i0 + mb - ib);
-    double* __restrict__ dst = dst0 + t * kb * kGemmMr;
-    if (!trans) {
-      // op(A)(i, p) = A(i, p): each source column is contiguous.
-      for (int64_t p = 0; p < kb; ++p) {
-        const double* __restrict__ src = a.data + (p0 + p) * a.rows + ib;
-        for (int64_t i = 0; i < mr; ++i) dst[p * kGemmMr + i] = src[i];
-        for (int64_t i = mr; i < kGemmMr; ++i) dst[p * kGemmMr + i] = 0.0;
-      }
-    } else {
-      // op(A)(i, p) = A(p, i): source column ib+i is contiguous over p, so
-      // iterate i outermost — the pack is the only strided touch of A.
-      for (int64_t i = 0; i < mr; ++i) {
-        const double* __restrict__ src = a.data + (ib + i) * a.rows + p0;
-        for (int64_t p = 0; p < kb; ++p) dst[p * kGemmMr + i] = src[p];
-      }
-      for (int64_t i = mr; i < kGemmMr; ++i) {
-        for (int64_t p = 0; p < kb; ++p) dst[p * kGemmMr + i] = 0.0;
-      }
-    }
-  }
-}
-
-// Pack a kc x nc panel of op(B) into NR-column tiles, absorbing trans_b:
-// dst[t*kc*NR + p*NR + j], zero-padded to NR.
-void PackB(const DenseView& b, bool trans, int64_t p0, int64_t kb,
-           int64_t j0, int64_t nb, double* __restrict__ dst0) {
-  const int64_t tiles = CeilDiv(nb, kGemmNr);
-  for (int64_t t = 0; t < tiles; ++t) {
-    const int64_t jb = j0 + t * kGemmNr;
-    const int64_t nr = std::min<int64_t>(kGemmNr, j0 + nb - jb);
-    double* __restrict__ dst = dst0 + t * kb * kGemmNr;
-    if (!trans) {
-      // op(B)(p, j) = B(p, j): source column jb+j contiguous over p.
-      for (int64_t j = 0; j < nr; ++j) {
-        const double* __restrict__ src = b.data + (jb + j) * b.rows + p0;
-        for (int64_t p = 0; p < kb; ++p) dst[p * kGemmNr + j] = src[p];
-      }
-      for (int64_t j = nr; j < kGemmNr; ++j) {
-        for (int64_t p = 0; p < kb; ++p) dst[p * kGemmNr + j] = 0.0;
-      }
-    } else {
-      // op(B)(p, j) = B(j, p): source column p0+p contiguous over j.
-      for (int64_t p = 0; p < kb; ++p) {
-        const double* __restrict__ src = b.data + (p0 + p) * b.rows + jb;
-        for (int64_t j = 0; j < nr; ++j) dst[p * kGemmNr + j] = src[j];
-        for (int64_t j = nr; j < kGemmNr; ++j) dst[p * kGemmNr + j] = 0.0;
-      }
-    }
-  }
-}
-
-// MR x NR register-tiled microkernel over one packed kc chunk. The packed
-// operands are zero-padded, so the accumulation loop is always full-tile;
-// only the store into C is bounded by the live (mr, nr) extent. C gains
-// alpha * (chunk product); the caller zeroes C first when not accumulating.
-void MicroKernel(const double* __restrict__ ap, const double* __restrict__ bp,
-                 int64_t kb, double* __restrict__ c, int64_t ldc, double alpha,
-                 int64_t mr, int64_t nr) {
-  double acc[kGemmNr][kGemmMr] = {};
-  for (int64_t p = 0; p < kb; ++p) {
-    const double* __restrict__ av = ap + p * kGemmMr;
-    const double* __restrict__ bv = bp + p * kGemmNr;
-    for (int j = 0; j < kGemmNr; ++j) {
-      const double bj = bv[j];
-      for (int i = 0; i < kGemmMr; ++i) acc[j][i] += av[i] * bj;
-    }
-  }
-  if (mr == kGemmMr && nr == kGemmNr) {
-    for (int j = 0; j < kGemmNr; ++j) {
-      double* __restrict__ cj = c + j * ldc;
-      for (int i = 0; i < kGemmMr; ++i) cj[i] += alpha * acc[j][i];
-    }
-  } else {
-    for (int64_t j = 0; j < nr; ++j) {
-      double* __restrict__ cj = c + j * ldc;
-      for (int64_t i = 0; i < mr; ++i) cj[i] += alpha * acc[j][i];
-    }
-  }
-}
-
-}  // namespace
 
 void BlockGemm(const DenseView& a, bool trans_a, const DenseView& b,
                bool trans_b, DenseView* c, bool accumulate, double alpha) {
@@ -238,42 +94,16 @@ void BlockGemm(const DenseView& a, bool trans_a, const DenseView& b,
   RIOT_CHECK_EQ(k, kb_dim);
   RIOT_CHECK_EQ(m, c->rows);
   RIOT_CHECK_EQ(n, c->cols);
-  if (!accumulate) {
-    std::memset(c->data, 0, static_cast<size_t>(m * n) * sizeof(double));
-  }
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
-
-  // Per-thread pack buffers: kernels run concurrently on executor workers.
-  thread_local AlignedDoubles apack;
-  thread_local AlignedDoubles bpack;
-
-  for (int64_t jc = 0; jc < n; jc += kGemmNc) {
-    const int64_t nb = std::min<int64_t>(kGemmNc, n - jc);
-    const int64_t jtiles = CeilDiv(nb, kGemmNr);
-    for (int64_t pc = 0; pc < k; pc += kGemmKc) {
-      const int64_t kb = std::min<int64_t>(kGemmKc, k - pc);
-      bpack.resize(static_cast<size_t>(jtiles * kb * kGemmNr));
-      PackB(b, trans_b, pc, kb, jc, nb, bpack.data());
-      for (int64_t ic = 0; ic < m; ic += kGemmMc) {
-        const int64_t mb = std::min<int64_t>(kGemmMc, m - ic);
-        const int64_t itiles = CeilDiv(mb, kGemmMr);
-        apack.resize(static_cast<size_t>(itiles * kb * kGemmMr));
-        PackA(a, trans_a, ic, mb, pc, kb, apack.data());
-        for (int64_t jt = 0; jt < jtiles; ++jt) {
-          const int64_t jr = jc + jt * kGemmNr;
-          const int64_t nr = std::min<int64_t>(kGemmNr, jc + nb - jr);
-          const double* bp = bpack.data() + jt * kb * kGemmNr;
-          for (int64_t it = 0; it < itiles; ++it) {
-            const int64_t ir = ic + it * kGemmMr;
-            const int64_t mr = std::min<int64_t>(kGemmMr, ic + mb - ir);
-            MicroKernel(apack.data() + it * kb * kGemmMr, bp, kb,
-                        c->data + jr * m + ir, m, alpha, mr, nr);
-          }
-        }
-      }
-    }
-  }
+  ActiveTier().gemm(a, trans_a, b, trans_b, c, accumulate, alpha);
 }
+
+namespace {
+
+inline double Get(const DenseView& v, bool trans, int64_t r, int64_t c) {
+  return trans ? v.At(c, r) : v.At(r, c);
+}
+
+}  // namespace
 
 void BlockGemmNaive(const DenseView& a, bool trans_a, const DenseView& b,
                     bool trans_b, DenseView* c, bool accumulate,
@@ -415,45 +245,21 @@ Status BlockInverse(const DenseView& in, DenseView* out) {
   return Status::OK();
 }
 
-namespace {
-
-// Fixed-lane sum of squares over a contiguous run. Eight independent
-// accumulators make the loop SLP-vectorizable without -ffast-math, and the
-// lane count plus the explicit combine tree pin the summation order, so the
-// result is identical run to run (and independent of where the run sits
-// inside a larger block).
-constexpr int kSumLanes = 8;
-
-double SumSquaresRange(const double* __restrict__ p, int64_t n) {
-  double lane[kSumLanes] = {};
-  const int64_t nv = n - (n % kSumLanes);
-  for (int64_t i = 0; i < nv; i += kSumLanes) {
-    for (int l = 0; l < kSumLanes; ++l) lane[l] += p[i + l] * p[i + l];
-  }
-  double tail = 0.0;
-  for (int64_t i = nv; i < n; ++i) tail += p[i] * p[i];
-  const double s01 = lane[0] + lane[1];
-  const double s23 = lane[2] + lane[3];
-  const double s45 = lane[4] + lane[5];
-  const double s67 = lane[6] + lane[7];
-  return ((s01 + s23) + (s45 + s67)) + tail;
-}
-
-}  // namespace
-
 double BlockSumSquares(const DenseView& v) {
   // Column-by-column so the value matches BlockColumnSumSquares lane-for-lane
   // and stays fixed if callers ever pass column sub-views.
+  const dense_internal::DenseTier& tier = ActiveTier();
   double acc = 0.0;
   for (int64_t c = 0; c < v.cols; ++c) {
-    acc += SumSquaresRange(v.data + c * v.rows, v.rows);
+    acc += tier.sum_squares(v.data + c * v.rows, v.rows);
   }
   return acc;
 }
 
 void BlockColumnSumSquares(const DenseView& v, double* acc) {
+  const dense_internal::DenseTier& tier = ActiveTier();
   for (int64_t c = 0; c < v.cols; ++c) {
-    acc[c] += SumSquaresRange(v.data + c * v.rows, v.rows);
+    acc[c] += tier.sum_squares(v.data + c * v.rows, v.rows);
   }
 }
 

@@ -9,6 +9,15 @@
 // microkernel), with kc/mc/nc cache blocking around an mr x nr inner tile.
 // Reductions use a fixed lane count and a fixed combine tree so results are
 // run-to-run deterministic without -ffast-math.
+//
+// The hot loops are compiled once per x86 ISA tier (baseline, AVX2+FMA,
+// AVX-512) and each call runs the widest tier the CPU supports, chosen once
+// per process (kernels/dense_tier.h). Each tier picks its register tile from
+// the output shape. Results are deterministic per host. On FMA hosts GEMM
+// fuses multiply-adds, so its results on general doubles may differ in the
+// last bit across hosts with different ISAs; on integer data that stays below
+// 2^53 they are exact everywhere. The elementwise, fused-tape and reduction
+// kernels never fuse and give the same bits on every host.
 #ifndef RIOTSHARE_KERNELS_DENSE_H_
 #define RIOTSHARE_KERNELS_DENSE_H_
 
@@ -30,29 +39,6 @@ struct DenseView {
   double At(int64_t r, int64_t c) const { return data[c * rows + r]; }
   int64_t elems() const { return rows * cols; }
 };
-
-// GEMM tiling parameters (see README "Kernel microarchitecture").
-// The register tile is mr x nr accumulators; wider vector units get a
-// bigger tile, sized so the autovectorizer keeps the whole accumulator
-// block in registers with the i axis vectorized and bv[j] broadcast
-// (AVX-512: 18 zmm accumulators of 32; AVX2: 8 ymm of 16; SSE2: 8 xmm of
-// 16). kc/mc/nc are the cache-blocking factors: one packed A panel is
-// mc*kc doubles (targets L2), one packed B panel kc*nc doubles (L3/DRAM
-// streamed once per mc strip); mc and nc are multiples of every tier's
-// mr/nr so interior panels tile evenly.
-#if defined(__AVX512F__)
-inline constexpr int kGemmMr = 24;
-inline constexpr int kGemmNr = 6;
-#elif defined(__AVX2__)
-inline constexpr int kGemmMr = 8;
-inline constexpr int kGemmNr = 4;
-#else
-inline constexpr int kGemmMr = 4;
-inline constexpr int kGemmNr = 4;
-#endif
-inline constexpr int64_t kGemmKc = 256;
-inline constexpr int64_t kGemmMc = 120;
-inline constexpr int64_t kGemmNc = 1020;
 
 /// C = A + B (elementwise); all views same shape.
 void BlockAdd(const DenseView& a, const DenseView& b, DenseView* c);

@@ -997,11 +997,14 @@ GeneratedExpr GenerateExpr(uint64_t seed) {
     return r;
   };
 
-  // Block element sizes straddle the packed GEMM's register tile
-  // (kGemmMr x kGemmNr) and include primes, so edge tiles, full tiles, and
+  // Block element sizes include primes and straddle the packed GEMM's
+  // short-output cutoffs and smaller register tiles (each tier's tiles are
+  // in its src/kernels/dense_<tier>.cc), so edge tiles, full tiles, and
   // multi-tile panels all flow through the differential against the exact
-  // evaluator. Bounds math is unchanged: the generator still rejects any op
-  // whose value bound would leave the exact-integer range.
+  // evaluator; the AVX-512 tier's 24-row tile meets only edge tiles here
+  // (tests/kernels/dense_test.cc runs its full tiles). Bounds math is
+  // unchanged: the generator still rejects any op whose value bound would
+  // leave the exact-integer range.
   auto pick_bsize = [&]() -> int64_t {
     static constexpr int64_t kSizes[] = {2, 3, 4, 5, 7, 9, 13, 17};
     return kSizes[rng() % (sizeof(kSizes) / sizeof(kSizes[0]))];

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "ir/scalar_ops.h"
+#include "kernels/dense_tier.h"
 
 namespace riot {
 namespace {
@@ -219,37 +221,41 @@ void FillInts(DenseView* v, int64_t salt) {
 }
 
 // Exhaustive {trans_a, trans_b} x {accumulate} x {alpha} over ragged shapes
-// (1 x n, n x 1, primes, multi-register-tile, multi-kc-chunk), packed
-// BlockGemm vs the pre-packing BlockGemmNaive reference.
+// (1 x n, n x 1, primes, multi-register-tile, multi-kc-chunk), packed GEMM vs
+// the pre-packing BlockGemmNaive reference, on every ISA tier this CPU runs
+// (the public BlockGemm runs the widest of them).
 class GemmFlagMatrixTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(GemmFlagMatrixTest, PackedMatchesNaiveBitExactOnIntegers) {
   auto [mi, ki, ni] = GetParam();
   const int64_t m = mi, k = ki, n = ni;
-  for (bool ta : {false, true}) {
-    for (bool tb : {false, true}) {
-      // Operand buffers sized for the chosen op() orientation.
-      auto a = Buf(ta ? k : m, ta ? m : k);
-      auto b = Buf(tb ? n : k, tb ? k : n);
-      DenseView va{a.data(), ta ? k : m, ta ? m : k};
-      DenseView vb{b.data(), tb ? n : k, tb ? k : n};
-      FillInts(&va, 3);
-      FillInts(&vb, 5);
-      for (bool acc : {false, true}) {
-        // 0.5 is a power of two: exact scaling of exact-integer sums.
-        for (double alpha : {1.0, -2.0, 0.5, 0.0}) {
-          auto c1 = Buf(m, n), c2 = Buf(m, n);
-          DenseView vc1{c1.data(), m, n}, vc2{c2.data(), m, n};
-          if (acc) {
-            FillInts(&vc1, 9);
-            FillInts(&vc2, 9);
+  for (const dense_internal::DenseTier* tier :
+       dense_internal::SupportedTiers()) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        // Operand buffers sized for the chosen op() orientation.
+        auto a = Buf(ta ? k : m, ta ? m : k);
+        auto b = Buf(tb ? n : k, tb ? k : n);
+        DenseView va{a.data(), ta ? k : m, ta ? m : k};
+        DenseView vb{b.data(), tb ? n : k, tb ? k : n};
+        FillInts(&va, 3);
+        FillInts(&vb, 5);
+        for (bool acc : {false, true}) {
+          // 0.5 is a power of two: exact scaling of exact-integer sums.
+          for (double alpha : {1.0, -2.0, 0.5, 0.0}) {
+            auto c1 = Buf(m, n), c2 = Buf(m, n);
+            DenseView vc1{c1.data(), m, n}, vc2{c2.data(), m, n};
+            if (acc) {
+              FillInts(&vc1, 9);
+              FillInts(&vc2, 9);
+            }
+            tier->gemm(va, ta, vb, tb, &vc1, acc, alpha);
+            BlockGemmNaive(va, ta, vb, tb, &vc2, acc, alpha);
+            ASSERT_EQ(c1, c2) << tier->name << " m=" << m << " k=" << k
+                              << " n=" << n << " ta=" << ta << " tb=" << tb
+                              << " acc=" << acc << " alpha=" << alpha;
           }
-          BlockGemm(va, ta, vb, tb, &vc1, acc, alpha);
-          BlockGemmNaive(va, ta, vb, tb, &vc2, acc, alpha);
-          ASSERT_EQ(c1, c2) << "m=" << m << " k=" << k << " n=" << n
-                            << " ta=" << ta << " tb=" << tb << " acc=" << acc
-                            << " alpha=" << alpha;
         }
       }
     }
@@ -262,7 +268,90 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(9, 5, 1), std::make_tuple(4, 4, 4),
                       std::make_tuple(13, 17, 11), std::make_tuple(31, 8, 6),
                       // m spans multiple mc strips, k spans two kc chunks.
-                      std::make_tuple(131, 300, 23)));
+                      std::make_tuple(131, 300, 23),
+                      // Short outputs on either side of the short-tile
+                      // cutoffs, and covariance's 1'X (k spans four chunks).
+                      std::make_tuple(2, 40, 17), std::make_tuple(3, 40, 17),
+                      std::make_tuple(5, 40, 17), std::make_tuple(1, 1000, 100),
+                      // N = 1: a matrix-vector product such as X'y.
+                      std::make_tuple(100, 1000, 1)));
+
+TEST(DenseTierTest, ActiveTierIsTheWidestTheCpuReports) {
+  // Computed from the CPU's own feature bits, so a build that compiles the
+  // wide tiers but dispatches the baseline on an AVX2 host fails here.
+  std::string expected = "baseline";
+#ifdef RIOT_DENSE_X86_TIERS
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    expected = __builtin_cpu_supports("avx512f") ? "avx512" : "avx2";
+  }
+#endif
+  EXPECT_EQ(dense_internal::ActiveTier().name, expected);
+  const auto tiers = dense_internal::SupportedTiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.front()->name, "baseline");
+  EXPECT_EQ(tiers.back(), &dense_internal::ActiveTier());
+}
+
+TEST(DenseTierTest, GemmTilesOfOneTierAgreeBitForBit) {
+  // Short outputs run a short register tile on the wide tiers; every output
+  // element still sums its k chunk in ascending order, so a one-row product
+  // equals row 0 of a taller one bit for bit, on general doubles.
+  const int64_t m = 37, k = 300, n = 29;
+  auto a = Buf(m, k), b = Buf(k, n);
+  DenseView va{a.data(), m, k}, vb{b.data(), k, n};
+  BlockFillRandom(&va, 31);
+  BlockFillRandom(&vb, 32);
+  auto a0 = Buf(1, k);
+  DenseView va0{a0.data(), 1, k};
+  for (int64_t p = 0; p < k; ++p) va0.At(0, p) = va.At(0, p);
+  for (const dense_internal::DenseTier* tier :
+       dense_internal::SupportedTiers()) {
+    auto tall = Buf(m, n), row = Buf(1, n);
+    DenseView vtall{tall.data(), m, n}, vrow{row.data(), 1, n};
+    tier->gemm(va, false, vb, false, &vtall, false, 1.0 / 3.0);
+    tier->gemm(va0, false, vb, false, &vrow, false, 1.0 / 3.0);
+    for (int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(vrow.At(0, j), vtall.At(0, j)) << tier->name << " j=" << j;
+    }
+  }
+}
+
+TEST(DenseTierTest, NonGemmKernelsGiveTheSameBitsOnEveryTier) {
+  // Only GEMM may fuse multiply-adds; the elementwise streams, the fused
+  // tape and the sum of squares must match the baseline tier exactly.
+  const int64_t n = 1037;  // not a multiple of any vector width
+  std::vector<double> x(static_cast<size_t>(n)), y(static_cast<size_t>(n));
+  DenseView vx{x.data(), n, 1}, vy{y.data(), n, 1};
+  BlockFillRandom(&vx, 41);
+  BlockFillRandom(&vy, 42);
+  std::vector<FusedOp> tape(4);
+  tape[0].code = FusedOp::Code::kLoad;
+  tape[0].a = 0;
+  tape[1].code = FusedOp::Code::kLoad;
+  tape[1].a = 1;
+  tape[2].code = FusedOp::Code::kScale;
+  tape[2].a = 0;
+  tape[2].alpha = 1.0 / 7.0;
+  tape[3].code = FusedOp::Code::kAdd;
+  tape[3].a = 2;
+  tape[3].b = 1;
+  const double* inputs[2] = {x.data(), y.data()};
+  auto run = [&](const dense_internal::DenseTier& tier) {
+    std::vector<double> out(static_cast<size_t>(4 * n));
+    tier.add(x.data(), y.data(), out.data(), n);
+    tier.sub(x.data(), y.data(), out.data() + n, n);
+    tier.scale(x.data(), 1.0 / 3.0, out.data() + 2 * n, n);
+    tier.fused_eval(tape.data(), 4, inputs, out.data() + 3 * n, n);
+    out.push_back(tier.sum_squares(x.data(), n));
+    return out;
+  };
+  const auto tiers = dense_internal::SupportedTiers();
+  const std::vector<double> expected = run(*tiers.front());
+  for (const dense_internal::DenseTier* tier : tiers) {
+    EXPECT_EQ(run(*tier), expected) << tier->name;
+  }
+}
 
 TEST(DenseKernelTest, GemmRunToRunDeterministicOnGeneralDoubles) {
   // Packing fixes the summation order (kc chunks ascending, elements
