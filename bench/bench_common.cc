@@ -54,7 +54,8 @@ const OptimizationResult& Harness::Optimize(const OptimizerOptions& opts) {
   return result_;
 }
 
-PlanRun Harness::RunPlan(int plan_index, const std::string& label) {
+PlanRun Harness::RunPlan(int plan_index, const std::string& label,
+                         int pipeline_depth, double cap_factor) {
   RIOT_CHECK(optimized_);
   const Plan& plan = result_.plans[static_cast<size_t>(plan_index)];
 
@@ -87,7 +88,9 @@ PlanRun Harness::RunPlan(int plan_index, const std::string& label) {
 
   PlanCost scaled_cost = EvaluatePlanCost(scaled_.program, plan.schedule, q);
   ExecOptions eo;
-  eo.memory_cap_bytes = scaled_cost.peak_memory_bytes;
+  eo.memory_cap_bytes = static_cast<int64_t>(
+      cap_factor * static_cast<double>(scaled_cost.peak_memory_bytes));
+  eo.pipeline_depth = pipeline_depth;
   Executor ex(scaled_.program, rt->raw(), scaled_.kernels, eo);
   auto stats = ex.Run(plan.schedule, q);
   stats.status().CheckOK();
@@ -107,6 +110,7 @@ PlanRun Harness::RunPlan(int plan_index, const std::string& label) {
   run.scale_factor =
       static_cast<double>(plan.cost.TotalBytes()) /
       std::max<int64_t>(1, scaled_cost.TotalBytes());
+  run.cap_bytes = eo.memory_cap_bytes;
   return run;
 }
 
@@ -186,6 +190,8 @@ void BenchJson::Flush() {
       << ", \"policy_saved_reads\": " << s.policy_saved_reads
       << ", \"prefetch_hits\": " << s.prefetch_hits
       << ", \"prefetch_wasted\": " << s.prefetch_wasted
+      << ", \"prefetch_issued\": " << s.pool.prefetch_issued
+      << ", \"prefetch_declined\": " << s.pool.prefetch_declined
       << ", \"parallel_groups\": " << s.parallel_groups
       << ", \"max_ready_width\": " << s.max_ready_width << "}"
       << (i + 1 < entries_.size() ? "," : "") << "\n";

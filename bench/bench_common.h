@@ -30,6 +30,7 @@ struct PlanRun {
   ExecStats measured;       // at execution scale
   double measured_model_s;  // measured bytes converted at paper disk rates
   double scale_factor;      // paper bytes / scaled bytes (for comparison)
+  int64_t cap_bytes = 0;    // memory cap the run executed under
 };
 
 /// \brief Machine-readable benchmark trajectory: `--json <path>` on a bench
@@ -38,7 +39,8 @@ struct PlanRun {
 /// [{plan, kind, threads, pipeline_depth, policy, cap_bytes, wall_seconds,
 /// io_seconds, compute_seconds, overlap_seconds, compute_overlap_seconds,
 /// bytes_read, bytes_written, block_reads, evictions, dirty_writebacks,
-/// policy_saved_reads, parallel_groups, max_ready_width}, ...]} — so
+/// policy_saved_reads, prefetch_hits, prefetch_wasted, prefetch_issued,
+/// prefetch_declined, parallel_groups, max_ready_width}, ...]} — so
 /// scripts/bench_json.sh can track wall/overlap/utilization and the
 /// LRU-vs-OPT read gap across commits without parsing tables.
 class BenchJson {
@@ -89,9 +91,11 @@ class Harness {
   const OptimizationResult& Optimize(const OptimizerOptions& opts = {});
 
   /// Executes the plan with the given index (into Optimize()'s plan list)
-  /// at execution scale against real files; verifies outputs against the
-  /// original plan's outputs.
-  PlanRun RunPlan(int plan_index, const std::string& label);
+  /// at execution scale against real files, at `pipeline_depth` under a cap
+  /// of `cap_factor` times the plan's predicted peak; checks the measured
+  /// I/O and peak against the cost model.
+  PlanRun RunPlan(int plan_index, const std::string& label,
+                  int pipeline_depth = 0, double cap_factor = 1.0);
 
   const OptimizationResult& result() const { return result_; }
   const Workload& paper_workload() const { return paper_; }

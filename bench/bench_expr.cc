@@ -52,6 +52,31 @@ void RunOne(const std::string& name,
                 100.0 * (1.0 - double(runs[1].measured.bytes_written) /
                                    double(runs[0].measured.bytes_written)));
   }
+
+  // The best plan at depth 2 under its exact peak and 1.5 x it: the
+  // lookahead each cap leaves (prefetch issued/declined), with I/O and
+  // peak checked against the cost model as above.
+  std::vector<PlanRun> lookahead;
+  for (const double cap_factor : {1.0, 1.5}) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "best plan d2 cap %.1fx",
+                  cap_factor);
+    lookahead.push_back(
+        h.RunPlan(r.best_index, label, /*pipeline_depth=*/2, cap_factor));
+    const PlanRun& run = lookahead.back();
+    json->Add(name + "/" + run.label, "lookahead", /*threads=*/1,
+              /*pipeline_depth=*/2, run.measured, /*policy=*/"",
+              run.cap_bytes);
+    std::printf("%s: prefetch issued %lld, declined %lld, hits %lld, "
+                "wasted %lld\n",
+                run.label.c_str(),
+                static_cast<long long>(run.measured.pool.prefetch_issued),
+                static_cast<long long>(run.measured.pool.prefetch_declined),
+                static_cast<long long>(run.measured.prefetch_hits),
+                static_cast<long long>(run.measured.prefetch_wasted));
+  }
+  Harness::PrintRuns(lookahead);
+  std::printf("\n");
 }
 
 // Fusion sweep (ISSUE 10): the 7-op elementwise chain through both

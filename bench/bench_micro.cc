@@ -13,7 +13,6 @@
 #include "kernels/dense.h"
 #include "kernels/dense_tier.h"
 #include "ops/workload.h"
-#include "polyhedral/farkas.h"
 #include "polyhedral/polyhedron.h"
 #include "storage/buffer_pool.h"
 
@@ -58,16 +57,6 @@ void BM_PolyhedronEnumerate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolyhedronEnumerate)->Arg(4)->Arg(8);
-
-void BM_FarkasBox(benchmark::State& state) {
-  Polyhedron p(2);
-  p.AddVarBounds(0, 0, 11);
-  p.AddVarBounds(1, 0, 11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FarkasNonNegativeForms(p));
-  }
-}
-BENCHMARK(BM_FarkasBox);
 
 void BM_AnalyzeAddMul(benchmark::State& state) {
   Workload w = MakeAddMul(40);

@@ -77,9 +77,7 @@ AccessScript BuildAccessScript(const Program& program,
     script.max_instance_bytes =
         std::max(script.max_instance_bytes, inst_bytes);
   }
-  for (int64_t bytes : RequiredBytesPerPosition(program, rp)) {
-    script.peak_required_bytes = std::max(script.peak_required_bytes, bytes);
-  }
+  script.required_bytes = RequiredBytesPerPosition(program, rp);
 
   // Annotation pass: per-(array, block) use positions, then each record's
   // next use (the first use strictly after its own position).
@@ -133,6 +131,28 @@ std::vector<int64_t> RequiredBytesPerPosition(const Program& program,
     }
   }
   return required;
+}
+
+RangeMax::RangeMax(const std::vector<int64_t>& values) {
+  levels_.push_back(values);
+  for (size_t w = 1; 2 * w <= values.size(); w *= 2) {
+    const std::vector<int64_t>& prev = levels_.back();
+    std::vector<int64_t> next(prev.size() - w);
+    for (size_t i = 0; i < next.size(); ++i) {
+      next[i] = std::max(prev[i], prev[i + w]);
+    }
+    levels_.push_back(std::move(next));
+  }
+}
+
+int64_t RangeMax::Max(size_t lo, size_t hi) const {
+  hi = std::min(hi, levels_[0].size());
+  if (lo >= hi) return 0;
+  // Two overlapping power-of-two windows cover [lo, hi).
+  size_t k = 0;
+  while (size_t{2} << k <= hi - lo) ++k;
+  const std::vector<int64_t>& level = levels_[k];
+  return std::max(level[lo], level[hi - (size_t{1} << k)]);
 }
 
 InstanceDag BuildInstanceDag(const AccessScript& script) {

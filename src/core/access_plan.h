@@ -68,10 +68,12 @@ struct AccessScript {
   /// the headroom the prefetch budget leaves for each additional kernel
   /// worker.
   int64_t max_instance_bytes = 0;
-  /// Max over positions of RequiredBytesPerPosition: the plan's exact
-  /// memory requirement (equal to the cost model's peak). The prefetch
-  /// budget is the cap's headroom over it.
-  int64_t peak_required_bytes = 0;
+  /// RequiredBytesPerPosition: the plan's exact memory requirement at each
+  /// position (its maximum is the cost model's peak). A solo run may hold a
+  /// read for position s ahead while position f runs only if its lookahead
+  /// fits in the cap's headroom over the largest requirement in [f, s) —
+  /// the positions the prefetched frame spans before it is adopted.
+  std::vector<int64_t> required_bytes;
   /// Per-(array, block) ascending, deduplicated instance positions of use
   /// (every access, read or write). The per-block future-use iterators
   /// behind the ScheduleOpt replacement policy and the cost model's cache
@@ -90,6 +92,20 @@ AccessScript BuildAccessScript(const Program& program, const RealizedPlan& rp);
 /// predicted peak and the engine's measured one.
 std::vector<int64_t> RequiredBytesPerPosition(const Program& program,
                                               const RealizedPlan& rp);
+
+/// \brief Range maximum over a fixed sequence: a sparse table, O(n log n)
+/// to build and O(1) per query. The executor bounds each prefetch by the
+/// largest requirement over the positions it spans with it.
+class RangeMax {
+ public:
+  explicit RangeMax(const std::vector<int64_t>& values);
+  /// Max of values[lo, hi); 0 when the range is empty.
+  int64_t Max(size_t lo, size_t hi) const;
+
+ private:
+  /// levels_[k][i] = max of values[i, i + 2^k).
+  std::vector<std::vector<int64_t>> levels_;
+};
 
 /// \brief Statement-instance dependence DAG over the scheduled stream.
 ///

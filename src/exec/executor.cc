@@ -229,6 +229,9 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
                                      // frames die
   IoPool* io = nullptr;  // owned_io.get(), or the session's shared workers
   int io_channel = 0;
+  // Solo runs: the plan's requirement over the positions each prefetch
+  // spans, charged against the budget per issue (see try_issue_locked).
+  std::unique_ptr<const RangeMax> required_max;
   if (depth > 0) {
     if (session != nullptr && session->io != nullptr) {
       // Shared I/O workers: submit on the session's channel; pool-wide
@@ -238,14 +241,15 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     } else {
       owned_io = std::make_unique<IoPool>(std::max(1, opts_.io_threads));
       io = owned_io.get();
-      // The cap's headroom over the plan's exact peak and the other
-      // workers' instance footprints: lookahead then never displaces
-      // anything the plan needs, and at one worker the consumer never has
-      // to cancel a prefetch (it waits out in-flight writes instead).
+      // The cap less the other workers' instance footprints. Each issue
+      // then charges the plan's largest requirement over the positions
+      // its frame spans, so lookahead never displaces anything the plan
+      // needs, and at one worker the consumer never has to cancel a
+      // prefetch (it waits out in-flight writes instead).
       pool.SetPrefetchBudget(std::max<int64_t>(
-          0, pool.cap_bytes() - script.peak_required_bytes -
-                 static_cast<int64_t>(nworkers - 1) *
-                     script.max_instance_bytes));
+          0, pool.cap_bytes() - static_cast<int64_t>(nworkers - 1) *
+                                    script.max_instance_bytes));
+      required_max = std::make_unique<const RangeMax>(script.required_bytes);
       pool.SetWriteBehind(io);
     }
   }
@@ -278,7 +282,9 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   // Dispatch and completion flags (value-initialized to false), read by
   // the prefetcher without the scheduler lock.
   std::vector<std::atomic<bool>> dispatched(n), completed(n);
-  std::atomic<size_t> group_frontier{0};
+  // Smallest incomplete position and its group, published for the
+  // prefetcher.
+  std::atomic<size_t> pos_frontier{0}, group_frontier{0};
 
   // ----------------------------------------------------- prefetcher state
   // All of it lives under pf.mu. Consumers also hold pf.mu across their
@@ -451,7 +457,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   // whose producing write (dep_pos) has not completed — reading disk now
   // would observe stale data — is deferred and retried as the frontier
   // moves; records behind it keep flowing. A pool decline for room/budget
-  // pauses issuance until consumers free frames.
+  // pauses issuance until consumers free frames or the frontier passes the
+  // positions whose requirement left no room.
   enum class Issue { kHandled, kDepBlocked, kNoRoom };
   auto try_issue_locked =
       [&](const BlockAccessRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Issue {
@@ -471,8 +478,17 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       return Issue::kHandled;
     }
     BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
-    BufferPool::Frame* f =
-        pool.TryStartPrefetch(key.first, rec.block, rec.bytes, store);
+    // The frame stays lookahead while positions [frontier, rec.pos) run,
+    // so the plan's largest requirement among them must fit beside it.
+    // Every frame the plan pins or retains there is part of that
+    // requirement, so at one worker the bound is exact: lookahead plus the
+    // requirement never exceeds the cap.
+    const int64_t required =
+        required_max != nullptr
+            ? required_max->Max(pos_frontier.load(), rec.pos)
+            : 0;
+    BufferPool::Frame* f = pool.TryStartPrefetch(key.first, rec.block,
+                                                 rec.bytes, store, required);
     if (f == nullptr) {
       if (pool.WriteInFlight(key.first, rec.block)) {
         return Issue::kDepBlocked;  // the producing write has not landed
@@ -852,6 +868,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
         while (sc.frontier < n && completed[sc.frontier].load()) {
           ++sc.frontier;
         }
+        pos_frontier.store(sc.frontier);
         if (schedule_policy && sc.frontier != old_frontier) {
           // Pool lock nests inside sc.mu here; pool code never takes
           // sc.mu, so the order is acyclic.

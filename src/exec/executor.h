@@ -128,16 +128,21 @@ struct ExecOptions {
   /// prefetcher walks the plan's block access script up to this many groups
   /// ahead of the kernels, issuing asynchronous disk reads so I/O overlaps
   /// compute, and write-through goes behind the kernels to the same I/O
-  /// workers. Prefetched lookahead never violates the memory cap: a solo
-  /// run budgets it at
-  ///   max(0, cap - plan peak - (exec_threads - 1) * max instance bytes),
-  /// the cap's headroom over the plan's exact peak and the other workers'
-  /// instance footprints (at one worker it never needs cancelling); a
-  /// session run uses the runtime's headroom budget. 0 (default) disables
-  /// the pipeline and reproduces the synchronous engine bit-for-bit — same
-  /// I/O counts, same pool behavior. Ignored (treated as 0) under
-  /// kOpportunisticCache, which has no plan foreknowledge to prefetch
-  /// from.
+  /// workers. Prefetched lookahead never violates the memory cap: in a
+  /// solo run, a read for position s may be issued while f is the
+  /// smallest incomplete position only if the outstanding lookahead plus
+  /// this block fits in
+  ///   cap - max_{f <= q < s} R(q) - (exec_threads - 1) * max instance
+  ///   bytes,
+  /// where R is the plan's exact requirement per position
+  /// (AccessScript::required_bytes): the cap's headroom over what the plan
+  /// needs while the frame waits for its consumer, and over the other
+  /// workers' instance footprints. At one worker lookahead therefore never
+  /// needs cancelling. A session run uses the runtime's headroom budget.
+  /// 0 (default) disables the pipeline and reproduces the synchronous
+  /// engine bit-for-bit — same I/O counts, same pool behavior. Ignored
+  /// (treated as 0) under kOpportunisticCache, which has no plan
+  /// foreknowledge to prefetch from.
   int pipeline_depth = 0;
   /// I/O worker threads servicing prefetch reads and write-behind when
   /// pipeline_depth >= 1.

@@ -39,10 +39,13 @@
 //     footprints, republished on every admit and release. Frames held
 //     only by landing write-behind count against it too, so lookahead
 //     never displaces what an admitted session's plan needs, and a fetch
-//     within a footprint never parks behind a prefetch. Sessions at
-//     pipeline_depth >= 1 (every serving job; see serve/catalog.h) prefetch
-//     into that headroom and write behind their kernels on the shared
-//     I/O workers.
+//     within a footprint never parks behind a prefetch. (A solo run
+//     charges each prefetch the plan's largest requirement over the
+//     positions the frame spans; a session's requirement is its whole
+//     footprint, reserved for the run, so it charges nothing per issue.)
+//     Sessions at pipeline_depth >= 1 (every serving job; see
+//     serve/catalog.h) prefetch into that headroom and write behind their
+//     kernels on the shared I/O workers.
 //
 //   * Stats — per-session ExecStats (+ budget peaks and park counts) and
 //     aggregate RuntimeStats across the runtime's lifetime.

@@ -665,12 +665,14 @@ Status BufferPool::DrainWriteThroughs(WriteThroughLedger* ledger) {
 
 BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
                                                 int64_t bytes,
-                                                BlockStore* store) {
+                                                BlockStore* store,
+                                                int64_t required_bytes) {
   UniqueMutexLock lock(&mu_);
   ReapLandedLocked();
   Key key{array_id, block};
   const int64_t held = prefetch_counts_write_held_ ? write_held_bytes_ : 0;
-  if (prefetch_bytes_ + held + bytes > prefetch_budget_bytes_) {
+  if (prefetch_bytes_ + held + required_bytes + bytes >
+      prefetch_budget_bytes_) {
     ++stats_.prefetch_declined;
     return nullptr;
   }

@@ -377,9 +377,15 @@ class BufferPool {
   /// block already exists in any state, when a write-behind of the block is
   /// still in flight, when the prefetch budget is exhausted, or when making
   /// room would evict anything but a clean, unpinned, unretained regular
-  /// frame. Never triggers a dirty write-back.
+  /// frame. Never triggers a dirty write-back. `required_bytes` is what
+  /// the caller's plan requires resident while this frame waits for its
+  /// consumer; it is charged against the budget next to the lookahead, so
+  /// the prefetch fits only if lookahead + bytes + required_bytes stays
+  /// within the budget. Callers whose requirement is already reserved out
+  /// of the budget (sessions) pass 0.
   Frame* TryStartPrefetch(int array_id, int64_t block, int64_t bytes,
-                          BlockStore* store) EXCLUDES(mu_);
+                          BlockStore* store, int64_t required_bytes = 0)
+      EXCLUDES(mu_);
   /// I/O completed: kPrefetching -> kPrefetched.
   void CompletePrefetch(Frame* frame) EXCLUDES(mu_);
   /// Hands a kPrefetched frame to the execution thread: the frame becomes
@@ -392,8 +398,9 @@ class BufferPool {
   /// entirely (never demoted to cache — a failed or stale prefetch must
   /// not be able to satisfy a later probe).
   void AbandonPrefetch(Frame* frame) EXCLUDES(mu_);
-  /// Max total bytes of frames in prefetch states; 0 disables prefetch.
-  /// With `count_write_held`, frames held resident only by in-flight
+  /// Max total bytes of frames in prefetch states, plus the issuing
+  /// prefetch's `required_bytes`; 0 disables prefetch. With
+  /// `count_write_held`, frames held resident only by in-flight
   /// write-throughs count against the budget too. The session runtime's
   /// budget is the cap's unreserved headroom; counting those frames keeps
   /// lookahead plus landing writes inside it, so a fetch within an

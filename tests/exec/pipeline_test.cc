@@ -4,10 +4,13 @@
 // while wall time drops below io + compute once reads overlap kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "analysis/coaccess.h"
+#include "core/access_plan.h"
 #include "core/cost_model.h"
+#include "core/optimizer.h"
 #include "core/schedule_solver.h"
 #include "exec/executor.h"
 #include "exec/verify.h"
@@ -173,6 +176,50 @@ TEST(PipelineTest, PrefetchRespectsMemoryCapOfInCapPlan) {
   EXPECT_EQ(st.bytes_written, cost.write_bytes);
   EXPECT_EQ(st.peak_required_bytes, cost.peak_memory_bytes);
   EXPECT_EQ(st.pool.dirty_writebacks, 0);
+}
+
+TEST(PipelineTest, PrefetchesAtExactPeakWhereRequirementDips) {
+  // addmul's best plan requires its peak only at some positions. At a cap
+  // of exactly that peak, a budget of cap - peak would leave no lookahead
+  // at all; charging each prefetch the requirement over the positions its
+  // frame spans lets reads run ahead across the dips, and the run still
+  // reads exactly the predicted blocks with nothing canceled.
+  Workload w = MakeAddMul(/*scale=*/100);
+  OptimizationResult r = Optimize(w.program, OptimizerOptions{});
+  std::vector<const CoAccess*> q;
+  for (int oi : r.best().opportunities) {
+    q.push_back(&r.analysis.sharing[static_cast<size_t>(oi)]);
+  }
+  const Schedule& sched = r.best().schedule;
+  PlanCost cost = EvaluatePlanCost(w.program, sched, q);
+  const std::vector<int64_t> required =
+      RequiredBytesPerPosition(w.program, RealizePlan(w.program, sched, q));
+  ASSERT_LT(*std::min_element(required.begin(), required.end()),
+            cost.peak_memory_bytes);
+
+  auto env = NewMemEnv();
+  Runtime ref_rt;
+  MustRun(w, env.get(), "/dip_ref", sched, q, ExecOptions{}, &ref_rt);
+  BufferPool pool(cost.peak_memory_bytes);
+  ExecOptions opts;
+  opts.pipeline_depth = 2;
+  opts.shared_pool = &pool;
+  Runtime rt;
+  ExecStats st = MustRun(w, env.get(), "/dip", sched, q, opts, &rt);
+  EXPECT_GT(st.pool.prefetch_issued, 0);
+  EXPECT_EQ(st.prefetch_hits, st.pool.prefetch_issued);
+  EXPECT_EQ(st.prefetch_wasted, 0);
+  EXPECT_EQ(st.block_reads, cost.block_reads);
+  EXPECT_EQ(st.block_writes, cost.block_writes);
+  EXPECT_EQ(st.peak_required_bytes, cost.peak_memory_bytes);
+  EXPECT_EQ(pool.PinnedFrames(), 0);
+  for (int arr : w.output_arrays) {
+    const ArrayInfo& info = w.program.array(arr);
+    auto d = MaxAbsDifference(info, ref_rt.stores[size_t(arr)].get(),
+                              rt.stores[size_t(arr)].get());
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, 0.0) << info.name;
+  }
 }
 
 TEST(PipelineTest, OverlapsComputeWithIoOn2mm) {

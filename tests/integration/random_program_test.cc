@@ -325,6 +325,18 @@ void ValidateDagAgainstBruteForce(const AccessScript& script,
   }
 }
 
+// Every output array of `g` holds the same bits in `got` as in `want`.
+void ExpectOutputsEqual(const GeneratedProgram& g, const Runtime& want,
+                        const Runtime& got) {
+  for (int arr : g.outputs) {
+    auto diff = MaxAbsDifference(g.program.array(arr),
+                                 want.stores[static_cast<size_t>(arr)].get(),
+                                 got.stores[static_cast<size_t>(arr)].get());
+    ASSERT_TRUE(diff.ok());
+    EXPECT_EQ(*diff, 0.0) << "array " << g.program.array(arr).name;
+  }
+}
+
 // The plans the engine oracles run per program: the original schedule with
 // no sharing, and — when the solver finds one — a schedule realizing up to
 // two sharing opportunities, which exercises saved reads, retention, and
@@ -430,9 +442,43 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
       EXPECT_EQ(st->pool.dirty_writebacks, 0);
     }
 
-    for (int threads : {1, 2, 4}) {
+    // One worker, plan-exact, under caps from the plan's exact peak up, at
+    // every depth: the lookahead rule (each prefetch charged the plan's
+    // largest requirement over the positions its frame spans) and
+    // write-behind must move only timing — the predicted I/O and peak,
+    // no wasted lookahead, no pin left behind, the same bits.
+    for (const int64_t cap :
+         {pc.cost.peak_memory_bytes, pc.cost.peak_memory_bytes * 5 / 4,
+          pc.cost.peak_memory_bytes * 3 / 2, pc.cost.peak_memory_bytes * 2}) {
+      for (int depth : {1, 2, 4}) {
+        SCOPED_TRACE("one worker, cap " + std::to_string(cap) + " depth " +
+                     std::to_string(depth));
+        const std::string dir = base + "_c" + std::to_string(cap) + "d" +
+                                std::to_string(depth);
+        auto rt = OpenStores(env.get(), g.program, dir);
+        ASSERT_TRUE(rt.ok());
+        ASSERT_TRUE(InitIntegers(g.program, *rt, g.inputs, seed).ok());
+        BufferPool pool(cap);
+        ExecOptions eo;
+        eo.pipeline_depth = depth;
+        eo.shared_pool = &pool;
+        Executor ex(g.program, rt->raw(), g.kernels, eo);
+        auto st = ex.Run(pc.schedule, pc.q);
+        ASSERT_TRUE(st.ok()) << st.status().ToString();
+        EXPECT_EQ(st->bytes_read, pc.cost.read_bytes);
+        EXPECT_EQ(st->bytes_written, pc.cost.write_bytes);
+        EXPECT_EQ(st->block_reads, pc.cost.block_reads);
+        EXPECT_EQ(st->block_writes, pc.cost.block_writes);
+        EXPECT_EQ(st->peak_required_bytes, pc.cost.peak_memory_bytes);
+        EXPECT_EQ(st->prefetch_wasted, 0);
+        EXPECT_EQ(st->pool.dirty_writebacks, 0);
+        EXPECT_EQ(pool.PinnedFrames(), 0);
+        ExpectOutputsEqual(g, *ref_rt, *rt);
+      }
+    }
+
+    for (int threads : {2, 4}) {
       for (int depth : {0, 2}) {
-        if (threads == 1 && depth == 0) continue;  // the reference itself
         SCOPED_TRACE("threads " + std::to_string(threads) + " depth " +
                      std::to_string(depth));
         std::string dir = base + "_t" + std::to_string(threads) + "d" +
@@ -440,77 +486,29 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
         auto rt = OpenStores(env.get(), g.program, dir);
         ASSERT_TRUE(rt.ok());
         ASSERT_TRUE(InitIntegers(g.program, *rt, g.inputs, seed).ok());
+        // Parallel runs may transiently need more than the plan's peak
+        // (out-of-order retention), so they get a roomy pool.
         BufferPool pool(int64_t{1} << 30);
         ExecOptions eo;
         eo.exec_threads = threads;
         eo.pipeline_depth = depth;
         eo.shared_pool = &pool;
-        if (threads == 1) {
-          // Serial configs must hold the plan's exact memory cap; parallel
-          // ones may transiently need more (out-of-order retention).
-          eo.shared_pool = nullptr;
-          eo.memory_cap_bytes = pc.cost.peak_memory_bytes;
-          Executor ex(g.program, rt->raw(), g.kernels, eo);
-          auto st = ex.Run(pc.schedule, pc.q);
-          ASSERT_TRUE(st.ok()) << st.status().ToString();
-          EXPECT_EQ(st->bytes_read, ref_stats.bytes_read);
-          EXPECT_EQ(st->bytes_written, ref_stats.bytes_written);
-          EXPECT_EQ(st->peak_required_bytes, ref_stats.peak_required_bytes);
-          EXPECT_EQ(st->pool.dirty_writebacks, 0);
-          if (depth == 2) {
-            // Half a peak of headroom: the prefetch budget (cap - peak)
-            // and write-behind must move only timing — same I/O, same
-            // requirement, no wasted lookahead, no pin left behind.
-            SCOPED_TRACE("cap 1.5 x peak");
-            auto rt15 = OpenStores(env.get(), g.program, dir + "_c15");
-            ASSERT_TRUE(rt15.ok());
-            ASSERT_TRUE(InitIntegers(g.program, *rt15, g.inputs, seed).ok());
-            BufferPool pool15(pc.cost.peak_memory_bytes * 3 / 2);
-            ExecOptions eo15 = eo;
-            eo15.shared_pool = &pool15;
-            Executor ex15(g.program, rt15->raw(), g.kernels, eo15);
-            auto st15 = ex15.Run(pc.schedule, pc.q);
-            ASSERT_TRUE(st15.ok()) << st15.status().ToString();
-            EXPECT_EQ(st15->block_reads, ref_stats.block_reads);
-            EXPECT_EQ(st15->block_writes, ref_stats.block_writes);
-            EXPECT_EQ(st15->peak_required_bytes,
-                      ref_stats.peak_required_bytes);
-            EXPECT_EQ(st15->prefetch_wasted, 0);
-            EXPECT_EQ(pool15.PinnedFrames(), 0);
-            for (int arr : g.outputs) {
-              auto diff = MaxAbsDifference(
-                  g.program.array(arr),
-                  ref_rt->stores[static_cast<size_t>(arr)].get(),
-                  rt15->stores[static_cast<size_t>(arr)].get());
-              ASSERT_TRUE(diff.ok());
-              ASSERT_EQ(*diff, 0.0) << "array " << g.program.array(arr).name;
-            }
-          }
-        } else {
-          Executor ex(g.program, rt->raw(), g.kernels, eo);
-          auto st = ex.Run(pc.schedule, pc.q);
-          ASSERT_TRUE(st.ok()) << st.status().ToString();
-          EXPECT_EQ(st->bytes_written, ref_stats.bytes_written);
-          EXPECT_EQ(st->pool.dirty_writebacks, 0);
-          EXPECT_EQ(pool.PinnedFrames(), 0);
-          EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
-          if (ref_stats.peak_required_bytes > 0) {
-            const double ratio =
-                static_cast<double>(st->peak_required_bytes) /
-                static_cast<double>(ref_stats.peak_required_bytes);
-            if (ratio > g_parallel_peak_ratio.max) {
-              g_parallel_peak_ratio = {ratio, seed, threads};
-            }
+        Executor ex(g.program, rt->raw(), g.kernels, eo);
+        auto st = ex.Run(pc.schedule, pc.q);
+        ASSERT_TRUE(st.ok()) << st.status().ToString();
+        EXPECT_EQ(st->bytes_written, ref_stats.bytes_written);
+        EXPECT_EQ(st->pool.dirty_writebacks, 0);
+        EXPECT_EQ(pool.PinnedFrames(), 0);
+        EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+        if (ref_stats.peak_required_bytes > 0) {
+          const double ratio =
+              static_cast<double>(st->peak_required_bytes) /
+              static_cast<double>(ref_stats.peak_required_bytes);
+          if (ratio > g_parallel_peak_ratio.max) {
+            g_parallel_peak_ratio = {ratio, seed, threads};
           }
         }
-        for (int arr : g.outputs) {
-          auto diff = MaxAbsDifference(
-              g.program.array(arr),
-              ref_rt->stores[static_cast<size_t>(arr)].get(),
-              rt->stores[static_cast<size_t>(arr)].get());
-          ASSERT_TRUE(diff.ok());
-          ASSERT_EQ(*diff, 0.0) << "array " << g.program.array(arr).name;
-        }
+        ExpectOutputsEqual(g, *ref_rt, *rt);
       }
     }
   }
@@ -522,10 +520,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SweepOracleTest,
 
 // ---------------------------------------------------------------------------
 // Write-behind soak: the corpus at pipeline_depth 2 under caps of exactly
-// the plan's peak and 1.5 x peak. Healthy runs match the synchronous
-// reference bit for bit with the same I/O and requirement and no wasted
-// lookahead; runs whose k-th write fails end in IoError with no pin or
-// retention left, and the pool stays reusable. RIOT_FUZZ_SEEDS / 4 seeds.
+// the plan's peak and 1.5 x peak. At the exact peak lookahead runs
+// wherever the plan's requirement dips below its peak, so failing writes
+// meet prefetch issue and adoption at both caps. Healthy runs match the
+// synchronous reference bit for bit with the same I/O and requirement and
+// every prefetch adopted; runs whose k-th write fails end in IoError with
+// no pin or retention left, and the pool stays reusable.
+// RIOT_FUZZ_SEEDS / 4 seeds.
 // ---------------------------------------------------------------------------
 
 class WriteBehindSoakTest : public ::testing::TestWithParam<uint64_t> {};
@@ -597,6 +598,7 @@ TEST_P(WriteBehindSoakTest, CapsAndWriteFaultsStayExact) {
       EXPECT_EQ(st->block_writes, ref.block_writes);
       EXPECT_EQ(st->peak_required_bytes, ref.peak_required_bytes);
       EXPECT_EQ(st->prefetch_wasted, 0);
+      EXPECT_EQ(st->prefetch_hits, st->pool.prefetch_issued);
     }
   }
 }

@@ -177,5 +177,31 @@ TEST_F(BufferPoolConcurrentTest, PrefetchRespectsBudgetAndCap) {
   EXPECT_EQ(pool.prefetch_bytes(), 0);
 }
 
+TEST_F(BufferPoolConcurrentTest, PrefetchChargesCallersRequirement) {
+  // The caller's requirement over the positions a prefetch spans is
+  // charged next to the lookahead: with 4 blocks of budget, a requirement
+  // of 2 leaves room for 2 prefetched blocks, and one of 3 for none more.
+  BufferPool pool(8 * kBlock);
+  pool.SetPrefetchBudget(4 * kBlock);
+  BufferPool::Frame* p1 =
+      pool.TryStartPrefetch(0, 1, kBlock, store_.get(), 2 * kBlock);
+  BufferPool::Frame* p2 =
+      pool.TryStartPrefetch(0, 2, kBlock, store_.get(), 2 * kBlock);
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p2, nullptr);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, store_.get(), 2 * kBlock),
+            nullptr);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, store_.get(), 3 * kBlock),
+            nullptr);
+  EXPECT_EQ(pool.stats().prefetch_declined, 2);
+  // Once the outstanding lookahead is adopted, the same requirement
+  // admits lookahead again.
+  pool.CompletePrefetch(p1);
+  pool.Unpin(pool.AdoptPrefetched(p1));
+  EXPECT_NE(pool.TryStartPrefetch(0, 3, kBlock, store_.get(), 2 * kBlock),
+            nullptr);
+  EXPECT_EQ(pool.prefetch_bytes(), 2 * kBlock);
+}
+
 }  // namespace
 }  // namespace riot
