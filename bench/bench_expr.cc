@@ -3,7 +3,8 @@
 // lambdas (hash-consed X'X / X'y shared across both solves). Reports the
 // usual predicted-vs-measured plan table plus the expression-level facts:
 // CSE hits at graph-construction time and the scratch-write elision the
-// best plan achieves.
+// best plan achieves. Each best plan, and twomm_a's, also runs at depth 2
+// under its exact peak and 1.5 x it.
 //
 //   --json <path> dumps every run for scripts/bench_json.sh
 //   (BENCH_expr.json).
@@ -17,6 +18,34 @@
 namespace riot {
 namespace bench {
 namespace {
+
+// The plan at depth 2 under its exact peak and 1.5 x it: the reads each
+// cap lets run ahead (prefetch issued/declined), with I/O and peak checked
+// against the cost model as in every harness run.
+void RunLookahead(Harness* h, int plan_index, const std::string& name,
+                  BenchJson* json) {
+  std::vector<PlanRun> lookahead;
+  for (const double cap_factor : {1.0, 1.5}) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "best plan d2 cap %.1fx",
+                  cap_factor);
+    lookahead.push_back(
+        h->RunPlan(plan_index, label, /*pipeline_depth=*/2, cap_factor));
+    const PlanRun& run = lookahead.back();
+    json->Add(name + "/" + run.label, "lookahead", /*threads=*/1,
+              /*pipeline_depth=*/2, run.measured, /*policy=*/"",
+              run.cap_bytes);
+    std::printf("%s: prefetch issued %lld, declined %lld, hits %lld, "
+                "wasted %lld\n",
+                run.label.c_str(),
+                static_cast<long long>(run.measured.pool.prefetch_issued),
+                static_cast<long long>(run.measured.pool.prefetch_declined),
+                static_cast<long long>(run.measured.prefetch_hits),
+                static_cast<long long>(run.measured.prefetch_wasted));
+  }
+  Harness::PrintRuns(lookahead);
+  std::printf("\n");
+}
 
 void RunOne(const std::string& name,
             const std::function<Workload(int64_t)>& factory,
@@ -53,30 +82,20 @@ void RunOne(const std::string& name,
                                    double(runs[0].measured.bytes_written)));
   }
 
-  // The best plan at depth 2 under its exact peak and 1.5 x it: the
-  // lookahead each cap leaves (prefetch issued/declined), with I/O and
-  // peak checked against the cost model as above.
-  std::vector<PlanRun> lookahead;
-  for (const double cap_factor : {1.0, 1.5}) {
-    char label[64];
-    std::snprintf(label, sizeof(label), "best plan d2 cap %.1fx",
-                  cap_factor);
-    lookahead.push_back(
-        h.RunPlan(r.best_index, label, /*pipeline_depth=*/2, cap_factor));
-    const PlanRun& run = lookahead.back();
-    json->Add(name + "/" + run.label, "lookahead", /*threads=*/1,
-              /*pipeline_depth=*/2, run.measured, /*policy=*/"",
-              run.cap_bytes);
-    std::printf("%s: prefetch issued %lld, declined %lld, hits %lld, "
-                "wasted %lld\n",
-                run.label.c_str(),
-                static_cast<long long>(run.measured.pool.prefetch_issued),
-                static_cast<long long>(run.measured.pool.prefetch_declined),
-                static_cast<long long>(run.measured.prefetch_hits),
-                static_cast<long long>(run.measured.prefetch_wasted));
-  }
-  Harness::PrintRuns(lookahead);
-  std::printf("\n");
+  RunLookahead(&h, r.best_index, name, json);
+}
+
+// twomm_a's best plan, the one paper_io runs. Its requirement sits at the
+// peak at nearly every position, so at 1.0x nothing runs ahead but each
+// instance's second read, fanned out inside the instance's own
+// requirement.
+void RunTwoMmLookahead(BenchJson* json) {
+  std::printf("=== twomm_a (Config A) best plan under lookahead ===\n");
+  Harness h("twomm_a", [](int64_t s) {
+    return MakeTwoMatMul(TwoMatMulConfig::kConfigA, s);
+  });
+  const auto& r = h.Optimize();
+  RunLookahead(&h, r.best_index, "twomm_a", json);
 }
 
 // Fusion sweep (ISSUE 10): the 7-op elementwise chain through both
@@ -185,6 +204,7 @@ void Run(int argc, char** argv) {
 
   RunOne("covariance", [](int64_t s) { return MakeCovariance(s); }, &json);
   RunOne("ridge", MakeRidge, &json);
+  RunTwoMmLookahead(&json);
 
   RunFusionSweep(&json);
   RunThreadSweep("ridge", MakeRidge, &json);

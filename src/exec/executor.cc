@@ -112,8 +112,17 @@ Status Executor::LintLoweredPlan(const RealizedPlan& rp,
 // The engine. Every run, at any worker count, executes statement instances
 // through one instance step (pin all of the instance's frames, apply
 // retentions, run the kernel, write out, record the peak, unpin), one
-// fetch-under-pressure loop and one prefetcher. The worker count changes
-// only how the next instance is picked:
+// fetch-under-pressure loop and one prefetcher. At depth >= 1 the
+// prefetcher issues two kinds of reads through one pending table, adopted
+// the same way and canceled the same way on error:
+//   * lookahead — reads of instances not yet dispatched, each charged
+//     beside the plan's largest requirement over the positions its frame
+//     waits through;
+//   * fan-out (solo runs) — when an instance is dispatched, its disk reads
+//     other than the one its consumer reads first, charged inside the
+//     instance's own requirement R(pos): they are frames R(pos) already
+//     counts, so they need no memory beyond what the plan requires.
+// The worker count changes only how the next instance is picked:
 //   * one worker: the next position of rp.order, on the calling thread. No
 //     dependence DAG is built and no thread is spawned; the order is a
 //     linear extension of the DAG, so this is the DAG dispatch's special
@@ -230,7 +239,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   IoPool* io = nullptr;  // owned_io.get(), or the session's shared workers
   int io_channel = 0;
   // Solo runs: the plan's requirement over the positions each prefetch
-  // spans, charged against the budget per issue (see try_issue_locked).
+  // spans, charged against the budget per issue (see try_lookahead_locked
+  // and fan_out_locked).
   std::unique_ptr<const RangeMax> required_max;
   if (depth > 0) {
     if (session != nullptr && session->io != nullptr) {
@@ -253,6 +263,9 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       pool.SetWriteBehind(io);
     }
   }
+  // Session runs keep lookahead only: the session budget may refuse an
+  // adoption, and a refused fan-out read would be a wasted disk read.
+  const bool fan_out = session == nullptr && required_max != nullptr;
   // Write-behind: with an I/O pool each non-saved write goes to the
   // workers instead of blocking its kernel worker. The pool keeps the frame
   // resident until the write lands (inside the cap, outside the required
@@ -453,17 +466,14 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     return false;
   };
 
-  // Issues an asynchronous read for one upcoming non-saved read. A record
+  // Issues an asynchronous read for one non-saved read record, charging
+  // `required` next to the lookahead (see TryStartPrefetch). A record
   // whose producing write (dep_pos) has not completed — reading disk now
-  // would observe stale data — is deferred and retried as the frontier
-  // moves; records behind it keep flowing. A pool decline for room/budget
-  // pauses issuance until consumers free frames or the frontier passes the
-  // positions whose requirement left no room.
+  // would observe stale data — is dep-blocked. A pool decline for
+  // room/budget is kNoRoom.
   enum class Issue { kHandled, kDepBlocked, kNoRoom };
-  auto try_issue_locked =
-      [&](const BlockAccessRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Issue {
-    // A dispatched instance serves its own reads.
-    if (dispatched[rec.pos].load()) return Issue::kHandled;
+  auto try_issue_locked = [&](const BlockAccessRecord& rec, int64_t required)
+      NO_THREAD_SAFETY_ANALYSIS -> Issue {
     if (rec.dep_pos >= 0 &&
         !completed[static_cast<size_t>(rec.dep_pos)].load()) {
       return Issue::kDepBlocked;
@@ -478,15 +488,6 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       return Issue::kHandled;
     }
     BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
-    // The frame stays lookahead while positions [frontier, rec.pos) run,
-    // so the plan's largest requirement among them must fit beside it.
-    // Every frame the plan pins or retains there is part of that
-    // requirement, so at one worker the bound is exact: lookahead plus the
-    // requirement never exceeds the cap.
-    const int64_t required =
-        required_max != nullptr
-            ? required_max->Max(pos_frontier.load(), rec.pos)
-            : 0;
     BufferPool::Frame* f = pool.TryStartPrefetch(key.first, rec.block,
                                                  rec.bytes, store, required);
     if (f == nullptr) {
@@ -506,13 +507,85 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     return Issue::kHandled;
   };
 
-  // Walks the script up to `depth` groups past the group frontier
-  // (smallest group with an incomplete instance). At one worker that is
-  // exactly the group of the instance about to run.
-  auto advance_prefetcher = [&]() {
+  // Lookahead for an instance not yet dispatched (a dispatched one's reads
+  // were fanned out at its dispatch or are its consumer's). The frame
+  // stays lookahead while positions [frontier, rec.pos) run, so the plan's
+  // largest requirement among them must fit beside it. Every frame the plan
+  // pins or retains there is part of that requirement, so at one worker
+  // the bound is exact: lookahead plus the requirement never exceeds the
+  // cap. Dep-blocked records are deferred and retried as the frontier
+  // moves; a decline for room pauses issuance until consumers free frames
+  // or the frontier passes the positions whose requirement left no room.
+  auto try_lookahead_locked =
+      [&](const BlockAccessRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Issue {
+    if (dispatched[rec.pos].load()) return Issue::kHandled;
+    return try_issue_locked(
+        rec, required_max != nullptr
+                 ? required_max->Max(pos_frontier.load(), rec.pos)
+                 : 0);
+  };
+
+  // Instance read fan-out (solo runs; see the engine comment above). The
+  // consumer keeps the instance's first disk read nobody has issued; every
+  // other one is issued now, charged inside R(pos) as R(pos) less the
+  // instance's reads in flight (itself included), and beside the
+  // requirement of earlier positions still running. Outstanding lookahead
+  // was admitted beside R(pos), so this needs no memory the plan does not
+  // require. A read that is dep-blocked or finds no room stays with the
+  // consumer, as at depth 0.
+  auto fan_out_locked = [&](size_t pos) NO_THREAD_SAFETY_ANALYSIS {
+    const uint32_t rec_begin = script.per_pos[pos].first;
+    const uint32_t rec_end = script.per_pos[pos].second;
+    // The instance's distinct disk reads: a block read twice is one frame.
+    auto distinct_read = [&](uint32_t ri) {
+      const BlockAccessRecord& rec = script.records[ri];
+      if (rec.type != AccessType::kRead || rec.saved) return false;
+      for (uint32_t j = rec_begin; j < ri; ++j) {
+        const BlockAccessRecord& o = script.records[j];
+        if (o.type == AccessType::kRead && !o.saved &&
+            o.array_id == rec.array_id && o.block == rec.block) {
+          return false;
+        }
+      }
+      return true;
+    };
+    int64_t own = 0;  // bytes of the instance's reads in flight
+    for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
+      const BlockAccessRecord& rec = script.records[ri];
+      if (distinct_read(ri) &&
+          pf.pending.count({pid(rec.array_id), rec.block}) > 0) {
+        own += rec.bytes;
+      }
+    }
+    const int64_t earlier = required_max->Max(pos_frontier.load(), pos);
+    bool consumer_read = false;
+    for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
+      const BlockAccessRecord& rec = script.records[ri];
+      const Key key{pid(rec.array_id), rec.block};
+      if (!distinct_read(ri) || pf.pending.count(key) > 0) continue;
+      if (serve_resident && pool.Probe(key.first, rec.block) != nullptr) {
+        continue;  // served from memory, not a disk read
+      }
+      if (!consumer_read) {
+        consumer_read = true;
+        continue;
+      }
+      const int64_t required = std::max(
+          earlier, script.required_bytes[pos] - own - rec.bytes);
+      try_issue_locked(rec, required);
+      if (pf.pending.count(key) > 0) own += rec.bytes;
+    }
+  };
+
+  // Fans out the instance just dispatched at `pos`, then walks the script
+  // up to `depth` groups past the group frontier (smallest group with an
+  // incomplete instance). At one worker that is exactly the group of the
+  // instance about to run.
+  auto advance_prefetcher = [&](size_t pos) {
     MutexLock l(&pf.mu);
+    if (fan_out) fan_out_locked(pos);
     for (auto it = pf.deferred.begin(); it != pf.deferred.end();) {
-      Issue res = try_issue_locked(script.records[*it]);
+      Issue res = try_lookahead_locked(script.records[*it]);
       if (res == Issue::kNoRoom) return;
       if (res == Issue::kDepBlocked) {
         ++it;
@@ -528,7 +601,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
         ++pf.cursor;  // writes and saved reads never touch disk ahead
         continue;
       }
-      Issue res = try_issue_locked(rec);
+      Issue res = try_lookahead_locked(rec);
       if (res == Issue::kNoRoom) break;
       if (res == Issue::kDepBlocked) pf.deferred.push_back(pf.cursor);
       ++pf.cursor;
@@ -855,7 +928,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       sl.Unlock();
 
       dispatched[pos].store(true);
-      if (io != nullptr) advance_prefetcher();
+      if (io != nullptr) advance_prefetcher(pos);
       Outcome oc = exec_instance(pos, ws);
 
       sl.Lock();

@@ -16,10 +16,11 @@
 //   * I/O pipeline (ExecOptions::pipeline_depth): a prefetcher walks the
 //     plan's block access script (core/access_plan.h) up to `depth` groups
 //     ahead of the completed instances, issuing asynchronous reads through
-//     an I/O worker pool while kernels run against completed frames, and
-//     every write-through goes to the same workers behind the kernels
-//     (write-behind). Depth 0 degrades to the fully synchronous engine
-//     bit-for-bit.
+//     an I/O worker pool while kernels run against completed frames; a
+//     dispatched instance's disk reads beyond its first go to the same
+//     workers at once (fan-out); and every write-through goes to them
+//     behind the kernels (write-behind). Depth 0 degrades to the fully
+//     synchronous engine bit-for-bit.
 //
 //   * Kernel workers (ExecOptions::exec_threads): the worker count changes
 //     only how the next instance is picked. One worker (the default) takes
@@ -44,8 +45,9 @@
 // alone before ResourceExhausted is real. Uncapped, over the 200-program
 // sweep corpus (random_program_test prints it as ParallelPeakRatio), the
 // largest ratio of a multi-worker run's peak_required_bytes to the
-// one-worker peak was 6.5, at 4 workers, in a Release run on a 4-vCPU
-// host. It varies between runs of one program (4.0 to 5.5 for seed 88).
+// one-worker peak seen so far was 7.5 (seed 65, 4 workers), in a Release
+// run on a 4-vCPU host. It varies between runs of one program (3.5 to
+// 6.0 for seed 65 over ten runs).
 #ifndef RIOTSHARE_EXEC_EXECUTOR_H_
 #define RIOTSHARE_EXEC_EXECUTOR_H_
 
@@ -137,8 +139,16 @@ struct ExecOptions {
   /// where R is the plan's exact requirement per position
   /// (AccessScript::required_bytes): the cap's headroom over what the plan
   /// needs while the frame waits for its consumer, and over the other
-  /// workers' instance footprints. At one worker lookahead therefore never
-  /// needs cancelling. A session run uses the runtime's headroom budget.
+  /// workers' instance footprints. When a solo run dispatches the instance
+  /// at position p, the consumer reads its first disk read nobody has
+  /// issued, and every other one goes to the I/O workers at once (instance
+  /// read fan-out), so an instance's reads overlap each other. Those frames
+  /// are part of R(p), so they are charged inside R(p), never on top of it:
+  /// beside the outstanding lookahead, which was admitted beside R(p), and
+  /// ahead of lookahead for later positions. A read whose producing write
+  /// has not landed stays with the consumer. At one worker prefetched
+  /// frames therefore never need cancelling. A session run keeps lookahead
+  /// only, under the runtime's headroom budget.
   /// 0 (default) disables the pipeline and reproduces the synchronous
   /// engine bit-for-bit — same I/O counts, same pool behavior. Ignored
   /// (treated as 0) under kOpportunisticCache, which has no plan
@@ -218,7 +228,9 @@ struct ExecStats {
   /// they count against the cap until their writes land and the pool's
   /// next call on a consumer thread reaps them (storage/buffer_pool.h).
   int64_t write_behind_peak_bytes = 0;
-  /// Reads served by an adopted prefetched frame (pipeline_depth >= 1).
+  /// Reads served by an adopted prefetched frame (pipeline_depth >= 1):
+  /// lookahead issued before the instance was dispatched, and the
+  /// instance's own reads fanned out to the I/O workers at its dispatch.
   int64_t prefetch_hits = 0;
   /// Prefetched blocks canceled under memory pressure or never consumed.
   int64_t prefetch_wasted = 0;

@@ -43,6 +43,26 @@ ExecStats MustRun(const Workload& w, Env* env, const std::string& dir,
   return *stats;
 }
 
+// The sharing set of the optimizer's best plan.
+std::vector<const CoAccess*> BestRealized(const OptimizationResult& r) {
+  std::vector<const CoAccess*> q;
+  for (int oi : r.best().opportunities) {
+    q.push_back(&r.analysis.sharing[static_cast<size_t>(oi)]);
+  }
+  return q;
+}
+
+void ExpectOutputsEqual(const Workload& w, const Runtime& a,
+                        const Runtime& b) {
+  for (int arr : w.output_arrays) {
+    const ArrayInfo& info = w.program.array(arr);
+    auto d = MaxAbsDifference(info, a.stores[size_t(arr)].get(),
+                              b.stores[size_t(arr)].get());
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, 0.0) << info.name;
+  }
+}
+
 TEST(PipelineTest, DepthZeroMatchesCostModelExactly) {
   // The synchronous degradation: I/O counts and peak memory must equal the
   // cost model's static prediction, as they always have.
@@ -186,10 +206,7 @@ TEST(PipelineTest, PrefetchesAtExactPeakWhereRequirementDips) {
   // reads exactly the predicted blocks with nothing canceled.
   Workload w = MakeAddMul(/*scale=*/100);
   OptimizationResult r = Optimize(w.program, OptimizerOptions{});
-  std::vector<const CoAccess*> q;
-  for (int oi : r.best().opportunities) {
-    q.push_back(&r.analysis.sharing[static_cast<size_t>(oi)]);
-  }
+  const std::vector<const CoAccess*> q = BestRealized(r);
   const Schedule& sched = r.best().schedule;
   PlanCost cost = EvaluatePlanCost(w.program, sched, q);
   const std::vector<int64_t> required =
@@ -213,13 +230,63 @@ TEST(PipelineTest, PrefetchesAtExactPeakWhereRequirementDips) {
   EXPECT_EQ(st.block_writes, cost.block_writes);
   EXPECT_EQ(st.peak_required_bytes, cost.peak_memory_bytes);
   EXPECT_EQ(pool.PinnedFrames(), 0);
-  for (int arr : w.output_arrays) {
-    const ArrayInfo& info = w.program.array(arr);
-    auto d = MaxAbsDifference(info, ref_rt.stores[size_t(arr)].get(),
-                              rt.stores[size_t(arr)].get());
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(*d, 0.0) << info.name;
+  ExpectOutputsEqual(w, ref_rt, rt);
+}
+
+TEST(PipelineTest, FansOutInstanceReadsAtExactPeak) {
+  // twomm_a's best plan requires its peak at nearly every position, so at
+  // a cap of exactly that peak lookahead for later positions has no room.
+  // Each instance's second disk read still goes to the I/O workers when
+  // the instance is dispatched: that frame is part of the instance's own
+  // requirement, so it is charged inside it. The run reads exactly the
+  // predicted blocks, cancels nothing and holds the predicted peak.
+  Workload w = MakeTwoMatMul(TwoMatMulConfig::kConfigA, /*scale=*/1000);
+  OptimizationResult r = Optimize(w.program, OptimizerOptions{});
+  const std::vector<const CoAccess*> q = BestRealized(r);
+  const Schedule& sched = r.best().schedule;
+  PlanCost cost = EvaluatePlanCost(w.program, sched, q);
+  const AccessScript script =
+      BuildAccessScript(w.program, RealizePlan(w.program, sched, q));
+  // The peak holds at 660 of the plan's 720 positions.
+  ASSERT_GT(std::count(script.required_bytes.begin(),
+                       script.required_bytes.end(), cost.peak_memory_bytes) *
+                10,
+            static_cast<std::ptrdiff_t>(script.required_bytes.size()) * 9);
+  // Instances with a second disk read: each has one to fan out.
+  int64_t two_reads = 0;
+  for (const auto& [begin, end] : script.per_pos) {
+    int64_t reads = 0;
+    for (uint32_t i = begin; i < end; ++i) {
+      const BlockAccessRecord& rec = script.records[i];
+      if (rec.type == AccessType::kRead && !rec.saved) ++reads;
+    }
+    if (reads >= 2) ++two_reads;
   }
+  ASSERT_GT(two_reads, 0);
+
+  auto env = NewMemEnv();
+  Runtime runs[2];
+  for (int depth : {0, 1}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    BufferPool pool(cost.peak_memory_bytes);
+    ExecOptions opts;
+    opts.pipeline_depth = depth;
+    opts.shared_pool = &pool;
+    ExecStats st = MustRun(w, env.get(), "/fan" + std::to_string(depth),
+                           sched, q, opts, &runs[depth]);
+    if (depth == 0) {
+      EXPECT_EQ(st.pool.prefetch_issued, 0);
+    } else {
+      EXPECT_GE(st.pool.prefetch_issued, two_reads);
+    }
+    EXPECT_EQ(st.prefetch_hits, st.pool.prefetch_issued);
+    EXPECT_EQ(st.prefetch_wasted, 0);
+    EXPECT_EQ(st.block_reads, cost.block_reads);
+    EXPECT_EQ(st.block_writes, cost.block_writes);
+    EXPECT_EQ(st.peak_required_bytes, cost.peak_memory_bytes);
+    EXPECT_EQ(pool.PinnedFrames(), 0);
+  }
+  ExpectOutputsEqual(w, runs[0], runs[1]);
 }
 
 TEST(PipelineTest, OverlapsComputeWithIoOn2mm) {

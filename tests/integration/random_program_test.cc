@@ -444,9 +444,11 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
 
     // One worker, plan-exact, under caps from the plan's exact peak up, at
     // every depth: the lookahead rule (each prefetch charged the plan's
-    // largest requirement over the positions its frame spans) and
+    // largest requirement over the positions its frame spans), instance
+    // read fan-out (charged inside the instance's own requirement) and
     // write-behind must move only timing — the predicted I/O and peak,
-    // no wasted lookahead, no pin left behind, the same bits.
+    // every issued read adopted, none wasted or abandoned, no pin left
+    // behind, the same bits.
     for (const int64_t cap :
          {pc.cost.peak_memory_bytes, pc.cost.peak_memory_bytes * 5 / 4,
           pc.cost.peak_memory_bytes * 3 / 2, pc.cost.peak_memory_bytes * 2}) {
@@ -471,6 +473,8 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
         EXPECT_EQ(st->block_writes, pc.cost.block_writes);
         EXPECT_EQ(st->peak_required_bytes, pc.cost.peak_memory_bytes);
         EXPECT_EQ(st->prefetch_wasted, 0);
+        EXPECT_EQ(st->pool.prefetch_abandoned, 0);
+        EXPECT_EQ(st->prefetch_hits, st->pool.prefetch_issued);
         EXPECT_EQ(st->pool.dirty_writebacks, 0);
         EXPECT_EQ(pool.PinnedFrames(), 0);
         ExpectOutputsEqual(g, *ref_rt, *rt);

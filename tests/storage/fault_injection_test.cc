@@ -188,11 +188,13 @@ TEST(FaultInjectionTest, SerialPipelinedExecutorReleasesPinsOnError) {
   }
 }
 
-// Every write of a depth-2 run goes through write-behind. Failing the k-th
-// write, for every k, must end the run with the write's IoError, leave no
-// pin or retention behind, and leave the pool reusable — in a solo serial
-// run and in a session run alike.
-class WriteBehindFaultTest : public ::testing::Test {
+// Pipelined runs of one small program, failed at every store op in turn.
+// Every write of a depth >= 1 run goes through write-behind, and reads go
+// to the I/O workers as lookahead or instance fan-out. Failing the k-th
+// op, for every k, must end the run with that op's IoError, leave no pin,
+// retention or prefetch frame behind, and leave the pool reusable — in
+// solo serial and parallel runs and in a session run alike.
+class PipelinedFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     mem_ = NewMemEnv();
@@ -237,7 +239,7 @@ class WriteBehindFaultTest : public ::testing::Test {
   int64_t peak_ = 0;
 };
 
-TEST_F(WriteBehindFaultTest, SerialRunFailsEveryWriteCleanly) {
+TEST_F(PipelinedFaultTest, SerialRunFailsEveryWriteCleanly) {
   BufferPool pool(peak_ * 3 / 2);
   ExecOptions eo;
   eo.pipeline_depth = 2;
@@ -265,7 +267,7 @@ TEST_F(WriteBehindFaultTest, SerialRunFailsEveryWriteCleanly) {
   ExpectOutputsMatchReference(*rt);
 }
 
-TEST_F(WriteBehindFaultTest, ParallelRunFailsEveryWriteCleanly) {
+TEST_F(PipelinedFaultTest, ParallelRunFailsEveryWriteCleanly) {
   BufferPool pool(peak_ * 3 / 2);
   ExecOptions eo;
   eo.exec_threads = 4;
@@ -294,7 +296,7 @@ TEST_F(WriteBehindFaultTest, ParallelRunFailsEveryWriteCleanly) {
   ExpectOutputsMatchReference(*rt);
 }
 
-TEST_F(WriteBehindFaultTest, SessionRunFailsEveryWriteCleanly) {
+TEST_F(PipelinedFaultTest, SessionRunFailsEveryWriteCleanly) {
   SessionRuntimeOptions ro;
   ro.pool_cap_bytes = peak_ * 3 / 2;
   SessionRuntime runtime(ro);
@@ -328,6 +330,49 @@ TEST_F(WriteBehindFaultTest, SessionRunFailsEveryWriteCleanly) {
   Status st = run(mem_.get());
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(runtime.stats().sessions_failed, writes_);
+}
+
+TEST_F(PipelinedFaultTest, SerialRunFailsEveryOpCleanly) {
+  // At depth 1 and a cap of the plan's peak, each C = A + B instance reads
+  // one block on the consumer and fans the other out to an I/O worker, so
+  // failing every op in turn lands failures on worker reads too.
+  const PlanCost cost =
+      EvaluatePlanCost(w_.program, w_.program.original_schedule(), {});
+  BufferPool pool(peak_);
+  ExecOptions eo;
+  eo.pipeline_depth = 1;
+  eo.shared_pool = &pool;
+  auto run = [&](Env* env, Runtime* rt) -> Result<ExecStats> {
+    auto fresh = FreshStores(env);
+    RIOT_RETURN_NOT_OK(fresh.status());
+    *rt = std::move(fresh).ValueOrDie();
+    Executor ex(w_.program, rt->raw(), w_.kernels, eo);
+    return ex.Run(w_.program.original_schedule(), {});
+  };
+  int64_t k = 0;
+  for (;; ++k) {
+    SCOPED_TRACE("failing op " + std::to_string(k));
+    auto env = NewFaultyEnv(mem_.get(), k, FaultOps::kAll);
+    Runtime rt;
+    auto stats = run(env.get(), &rt);
+    if (stats.ok()) break;
+    EXPECT_EQ(stats.status().code(), StatusCode::kIoError)
+        << stats.status().ToString();
+    EXPECT_EQ(pool.PinnedFrames(), 0);
+    EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
+    EXPECT_EQ(pool.prefetch_bytes(), 0);
+    // The same pool, healthy disk: exact reads, writes and outputs.
+    Runtime healthy_rt;
+    auto healthy = run(mem_.get(), &healthy_rt);
+    ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+    EXPECT_GT(healthy->pool.prefetch_issued, 0);
+    EXPECT_EQ(healthy->prefetch_wasted, 0);
+    EXPECT_EQ(healthy->block_reads, cost.block_reads);
+    EXPECT_EQ(healthy->block_writes, cost.block_writes);
+    ExpectOutputsMatchReference(healthy_rt);
+  }
+  // Every index below the run's op count failed it; at the count it ran.
+  EXPECT_EQ(k, cost.block_reads + cost.block_writes);
 }
 
 TEST(FaultInjectionTest, LabTreeOpenRejectsCorruptHeader) {
