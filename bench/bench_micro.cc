@@ -1,13 +1,17 @@
 // E10 (DESIGN.md): google-benchmark microbenchmarks for the substrates:
 // exact simplex/ILP, polyhedral operations, analysis, schedule solving,
-// buffer pool, dense kernels, and the two storage formats.
+// plan lowering and costing, buffer pool, dense kernels, and the two
+// storage formats.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/coaccess.h"
+#include "core/access_plan.h"
 #include "core/cost_model.h"
+#include "core/optimizer.h"
 #include "core/schedule_solver.h"
 #include "ilp/ilp.h"
 #include "kernels/dense.h"
@@ -91,6 +95,55 @@ void BM_CostEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostEvaluation);
+
+// Plan lowering (core/access_plan.h): the best plans of three paper_io
+// programs at their paper_io scales, lowered to access scripts. Reports
+// records lowered per second (items/s).
+struct LowerPlanCase {
+  Workload w;
+  OptimizationResult r;
+  std::vector<const CoAccess*> q;
+};
+
+const LowerPlanCase& LowerPlanInput(const std::string& name) {
+  static std::map<std::string, LowerPlanCase> cases;
+  auto it = cases.find(name);
+  if (it != cases.end()) return it->second;
+  LowerPlanCase c;
+  OptimizerOptions opts;
+  if (name == "twomm_a") {
+    c.w = MakeTwoMatMul(TwoMatMulConfig::kConfigA, 200);
+  } else if (name == "addmul") {
+    c.w = MakeAddMul(100);
+  } else {
+    c.w = MakeLinReg(100);
+    opts.max_combination_size = 2;  // as paper_io searches it
+  }
+  c.r = Optimize(c.w.program, opts);
+  for (int oi : c.r.best().opportunities) {
+    c.q.push_back(&c.r.analysis.sharing[static_cast<size_t>(oi)]);
+  }
+  return cases.emplace(name, std::move(c)).first->second;
+}
+
+void BM_LowerPlan(benchmark::State& state, const std::string& name) {
+  const LowerPlanCase& c = LowerPlanInput(name);
+  const Schedule& sched = c.r.best().schedule;
+  int64_t records = 0;
+  for (auto _ : state) {
+    auto script = LowerPlan(c.w.program, sched, c.q);
+    records = static_cast<int64_t>(script->records.size());
+    benchmark::DoNotOptimize(script);
+  }
+  state.SetItemsProcessed(state.iterations() * records);
+  state.counters["records"] = static_cast<double>(records);
+}
+BENCHMARK_CAPTURE(BM_LowerPlan, twomm_a, std::string("twomm_a"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LowerPlan, addmul, std::string("addmul"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LowerPlan, linreg, std::string("linreg"))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BufferPoolFetchHit(benchmark::State& state) {
   auto env = NewMemEnv();

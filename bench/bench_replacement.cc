@@ -27,7 +27,7 @@
 
 #include "bench_common.h"
 #include "core/cost_model.h"
-#include "core/plan_realization.h"
+#include "core/access_plan.h"
 #include "exec/verify.h"
 #include "ops/lockstep.h"
 #include "storage/buffer_pool.h"
@@ -148,8 +148,9 @@ void RunMultiTenant(BenchJson* json) {
         ten.w.program, ten.w.program.original_schedule(), {});
     ten.footprint = cost.peak_memory_bytes;
     sum_footprint += ten.footprint;
-    ten.instances = RealizePlan(ten.w.program,
-                                ten.w.program.original_schedule(), {})
+    ten.instances = LowerPlan(ten.w.program,
+                              ten.w.program.original_schedule(), {})
+                        .ValueOrDie()
                         .order.size();
     for (size_t a = 0; a < ten.w.program.arrays().size(); ++a) {
       const ArrayInfo& arr = ten.w.program.array(static_cast<int>(a));

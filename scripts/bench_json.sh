@@ -43,14 +43,23 @@ done
 # supports, elementwise bandwidth, reduction bandwidth. Any build
 # runs the widest kernel tier the host supports (src/kernels/dense_tier.h);
 # BENCH_kernels_baseline.json keeps the run from before the tiers, when
-# default builds ran the SSE2 tile only.
+# default builds ran the SSE2 tile only. The same binary writes
+# BENCH_lowering.json (plan lowering and costing throughput).
 if [[ -x "${build_dir}/bench_micro" ]]; then
   out="${out_dir}/BENCH_kernels.json"
   echo "=== kernels -> ${out}"
   "${build_dir}/bench_micro" \
     --benchmark_filter='GemmBench|GemmTier|BM_Elementwise|BM_SumSquares' \
     --benchmark_out="${out}" --benchmark_out_format=json
+  # Plan lowering: BM_LowerPlan lowers the best plans of twomm_a@200,
+  # addmul@100 and linreg@100 (items/s = access records per second), beside
+  # BM_CostEvaluation, which costs a plan through the same lowering.
+  out="${out_dir}/BENCH_lowering.json"
+  echo "=== lowering -> ${out}"
+  "${build_dir}/bench_micro" \
+    --benchmark_filter='BM_LowerPlan|BM_CostEvaluation' \
+    --benchmark_out="${out}" --benchmark_out_format=json
 else
-  echo "bench_micro not built (google-benchmark missing); skipping BENCH_kernels.json" >&2
+  echo "bench_micro not built (google-benchmark missing); skipping BENCH_kernels.json and BENCH_lowering.json" >&2
 fi
 echo "wrote: $(ls "${out_dir}"/BENCH_*.json | tr '\n' ' ')"

@@ -392,12 +392,12 @@ std::string PairMessage(const char* kind, size_t p, size_t q) {
 
 }  // namespace
 
-Result<LintReport> LintScript(const Program& program, const RealizedPlan& rp,
+Result<LintReport> LintScript(const Program& program,
                               const AccessScript& script,
                               const InstanceDag& dag,
                               const LintOptions& opts) {
   LintReport report;
-  const size_t n = rp.order.size();
+  const size_t n = script.order.size();
   report.instances_checked = n;
 
   // ---- per-record checks + per-block record streams -----------------------
@@ -598,11 +598,12 @@ Result<LintReport> LintPlan(const Program& program, const Schedule& schedule,
   auto prog_report = LintProgram(program);
   RIOT_RETURN_NOT_OK(prog_report.status());
   LintReport merged = std::move(prog_report).ValueOrDie();
-  if (!merged.ok()) return merged;  // lowering a malformed program may CHECK
-  const RealizedPlan rp = RealizePlan(program, schedule, realized);
-  const AccessScript script = BuildAccessScript(program, rp);
+  if (!merged.ok()) return merged;  // the findings already name the fault
+  auto lowered = LowerPlan(program, schedule, realized);
+  RIOT_RETURN_NOT_OK(lowered.status());
+  const AccessScript& script = *lowered;
   const InstanceDag dag = BuildInstanceDag(script);
-  auto script_report = LintScript(program, rp, script, dag, opts);
+  auto script_report = LintScript(program, script, dag, opts);
   RIOT_RETURN_NOT_OK(script_report.status());
   LintReport sr = std::move(script_report).ValueOrDie();
   merged.instances_checked = sr.instances_checked;

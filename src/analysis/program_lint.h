@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "core/access_plan.h"
-#include "core/plan_realization.h"
 #include "ir/program.h"
 #include "ir/schedule.h"
 #include "util/status.h"
@@ -103,7 +102,7 @@ Result<LintReport> LintProgram(const Program& program);
 /// \brief Script-level lint of a lowered plan. `dag` is passed in (rather
 /// than rebuilt) so callers that already built it pay nothing — and so
 /// tests can hand in a mutated DAG and assert the linter catches it.
-Result<LintReport> LintScript(const Program& program, const RealizedPlan& rp,
+Result<LintReport> LintScript(const Program& program,
                               const AccessScript& script,
                               const InstanceDag& dag,
                               const LintOptions& opts = {});

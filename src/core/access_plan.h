@@ -1,18 +1,43 @@
-// Block access script: the fully lowered, explicit per-instance sequence of
-// block accesses a realized plan performs. The optimizer knows the exact
-// future block-access order of a plan (the paper's central premise); this
-// module turns that foreknowledge into a flat script the execution engine
-// interprets and a prefetcher can walk ahead of the kernels, instead of the
-// executor re-deriving accesses from the IR inline.
+// Plan lowering: the static interpretation of "schedule + realized sharing
+// set" that the cost model and the execution engine share. The optimizer
+// knows the exact future block-access order of a plan (the paper's central
+// premise); LowerPlan turns that foreknowledge into a flat access script
+// the engine interprets and a prefetcher walks ahead of the kernels.
 //
-// For every scheduled statement instance the script lists, in execution
-// order (reads first, then the write, matching the engine's two passes):
-//   * where the block lives (array id, linear block index, byte size),
-//   * whether the plan serves it from memory (saved read / saved or elided
-//     write) or from disk,
-//   * how long the block must stay resident (retention), and
-//   * for disk reads, the latest earlier write to the same block
-//     (`dep_pos`) — the position a prefetcher must not run ahead of.
+// Given a schedule and the subset Q of sharing opportunities the plan
+// exploits (paper Section 5.5: code generation must exploit exactly Q, not
+// whatever the schedule accidentally enables), one pass derives:
+//   * the scheduled instance stream, grouped by time prefix (all but the
+//     final constant dimension);
+//   * for every instance, in execution order (reads first, then the write,
+//     matching the engine's two passes), one record per active access:
+//     where the block lives, whether the plan serves it from memory (saved
+//     read, W->W saved write, or elided write of a temporary whose every
+//     later read is served from memory: paper footnote 8) or from disk, how
+//     long it must stay resident (retention), the latest earlier write to
+//     the block (`dep_pos`, which a prefetcher must not run ahead of) and
+//     the block's next use;
+//   * the plan's exact memory requirement at each position.
+//
+// The pass is exact integer arithmetic. Each statement's schedule rows,
+// access maps and guards are compiled once per lowering by the LCM scaling
+// rule of ir/int_affine.h and evaluated with checked int64 multiply-add.
+// Rational stays the IR's reference semantics (Access::BlockAt,
+// Access::ActiveAt, Schedule::TimeOf, Polyhedron::Contains); only the
+// lowering compiles. Per-block state is indexed by a dense block id (each
+// array's base offset plus its linear block index), per-access state by
+// record index.
+//
+// A malformed plan is an error, not a crash. LowerPlan returns
+// kInvalidArgument when:
+//   * the schedule's statement count differs from the program's;
+//   * its matrices differ in row count or have no rows;
+//   * a matrix lacks exactly depth + 1 columns;
+//   * a time or a block subscript is not an integer, or overflows int64;
+//   * an access map or guard does not match its array or statement;
+//   * a realized opportunity names an instance outside the stream, or runs
+//     backwards under the schedule.
+// It returns kOutOfRange for a subscript outside the array's block grid.
 //
 // The same foreknowledge also yields the statement-instance dependence DAG
 // (BuildInstanceDag): the partial order the parallel executor must respect
@@ -23,13 +48,35 @@
 #define RIOTSHARE_CORE_ACCESS_PLAN_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
-#include "core/plan_realization.h"
+#include "analysis/coaccess.h"
 #include "ir/program.h"
+#include "ir/schedule.h"
 #include "storage/replacement.h"
+#include "util/status.h"
 
 namespace riot {
+
+/// \brief A block that must stay in memory from the source access (at
+/// stream position begin_pos) until every group <= end_group completes.
+struct RetentionSpan {
+  size_t begin_pos;   // position in the scheduled instance stream
+  size_t begin_group;
+  size_t end_group;  // inclusive
+  int array_id;
+  int64_t block;  // linear block index
+
+  bool operator<(const RetentionSpan& o) const {
+    return std::tie(begin_pos, begin_group, end_group, array_id, block) <
+           std::tie(o.begin_pos, o.begin_group, o.end_group, o.array_id,
+                    o.block);
+  }
+  bool operator==(const RetentionSpan& o) const {
+    return !(*this < o) && !(o < *this);
+  }
+};
 
 /// \brief One block access of one scheduled statement instance.
 struct BlockAccessRecord {
@@ -58,21 +105,31 @@ struct BlockAccessRecord {
   int64_t next_use_pos = -1;
 };
 
-/// \brief The lowered access sequence of a realized plan.
+/// \brief The lowered access sequence of a plan.
 struct AccessScript {
+  /// Every statement instance with its time, sorted by (time, stmt_id,
+  /// iter): the same order as Program::ScheduledOrder.
+  std::vector<ScheduledInstance> order;
+  std::vector<size_t> group_of;  // per position in `order`
+  size_t num_groups = 0;
+  /// Retentions the realized sharing set requires, sorted, deduplicated.
+  std::vector<RetentionSpan> spans;
   std::vector<BlockAccessRecord> records;
   /// Per instance-stream position: [begin, end) into `records`.
   std::vector<std::pair<uint32_t, uint32_t>> per_pos;
-  size_t num_groups = 0;
   /// Largest total byte footprint any single instance touches at once;
   /// the headroom the prefetch budget leaves for each additional kernel
   /// worker.
   int64_t max_instance_bytes = 0;
-  /// RequiredBytesPerPosition: the plan's exact memory requirement at each
-  /// position (its maximum is the cost model's peak). A solo run may hold a
-  /// read for position s ahead while position f runs only if its lookahead
-  /// fits in the cap's headroom over the largest requirement in [f, s) —
-  /// the positions the prefetched frame spans before it is adopted.
+  /// Bytes the plan requires resident at each position (paper Section
+  /// 5.4): the blocks the instance accesses plus every retained block
+  /// whose span covers it. A span is active from its source access until
+  /// the last instant of its end group — exactly the engine's pin/retain
+  /// discipline, so the maximum is both the cost model's predicted peak and
+  /// the engine's measured one. A solo run may hold a read for position s
+  /// ahead while position f runs only if its lookahead fits in the cap's
+  /// headroom over the largest requirement in [f, s): the positions the
+  /// prefetched frame spans before it is adopted.
   std::vector<int64_t> required_bytes;
   /// Per-(array, block) ascending, deduplicated instance positions of use
   /// (every access, read or write). The per-block future-use iterators
@@ -81,17 +138,12 @@ struct AccessScript {
   BlockUseMap block_uses;
 };
 
-/// \brief Lowers `rp` (over `program`) into its block access script.
-AccessScript BuildAccessScript(const Program& program, const RealizedPlan& rp);
-
-/// \brief Bytes the plan requires resident at each scheduled position
-/// (paper Section 5.4): the blocks the instance accesses plus every
-/// retained block whose span covers it. A span is active from its source
-/// access until the last instant of its end group — exactly the serial
-/// engine's pin/retain discipline, so the maximum is both the cost model's
-/// predicted peak and the engine's measured one.
-std::vector<int64_t> RequiredBytesPerPosition(const Program& program,
-                                              const RealizedPlan& rp);
+/// \brief Lowers `program` under `schedule`, exploiting exactly
+/// `realized`, into its access script. Errors are listed in the file
+/// comment; nothing is rounded and nothing CHECK-fails on a malformed plan.
+Result<AccessScript> LowerPlan(const Program& program,
+                               const Schedule& schedule,
+                               const std::vector<const CoAccess*>& realized);
 
 /// \brief Range maximum over a fixed sequence: a sparse table, O(n log n)
 /// to build and O(1) per query. The executor bounds each prefetch by the

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/access_plan.h"
-#include "core/plan_realization.h"
 #include "storage/buffer_pool.h"
 #include "util/logging.h"
 
@@ -16,36 +15,31 @@ namespace riot {
 PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
                           const std::vector<const CoAccess*>& realized,
                           const CostModelOptions& options) {
-  RealizedPlan rp = RealizePlan(program, schedule, realized);
+  auto lowered = LowerPlan(program, schedule, realized);
+  RIOT_CHECK(lowered.ok()) << "cost model: " << lowered.status().ToString();
+  const AccessScript& script = *lowered;
   PlanCost cost;
 
-  // I/O volume sweep.
-  for (const auto& inst : rp.order) {
-    const Statement& st = program.statement(inst.stmt_id);
-    for (size_t ai = 0; ai < st.accesses.size(); ++ai) {
-      const Access& a = st.accesses[ai];
-      if (!a.ActiveAt(inst.iter)) continue;
-      const int64_t bytes = program.array(a.array_id).BlockBytes();
-      AccessInstanceKey key{inst.stmt_id, inst.iter, static_cast<int>(ai)};
-      if (a.type == AccessType::kRead) {
-        cost.baseline_read_bytes += bytes;
-        if (!rp.saved_reads.count(key)) {
-          cost.read_bytes += bytes;
-          ++cost.block_reads;
-        }
-      } else {
-        cost.baseline_write_bytes += bytes;
-        if (!rp.saved_writes.count(key) && !rp.elided_writes.count(key)) {
-          cost.write_bytes += bytes;
-          ++cost.block_writes;
-        }
+  // I/O volume: a sum over the script's records.
+  for (const BlockAccessRecord& rec : script.records) {
+    if (rec.type == AccessType::kRead) {
+      cost.baseline_read_bytes += rec.bytes;
+      if (!rec.saved) {
+        cost.read_bytes += rec.bytes;
+        ++cost.block_reads;
+      }
+    } else {
+      cost.baseline_write_bytes += rec.bytes;
+      if (!rec.saved) {
+        cost.write_bytes += rec.bytes;
+        ++cost.block_writes;
       }
     }
   }
 
   // Peak memory: the per-position requirement the engine's pin/retain
   // discipline realizes, so predicted peak equals measured peak.
-  for (int64_t bytes : RequiredBytesPerPosition(program, rp)) {
+  for (int64_t bytes : script.required_bytes) {
     cost.peak_memory_bytes = std::max(cost.peak_memory_bytes, bytes);
   }
 
@@ -63,7 +57,7 @@ PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
   // statement touch same-shaped blocks), so analyze each statement once.
   if (options.compute.has_value()) {
     std::map<int, double> per_instance_s;
-    for (const auto& inst : rp.order) {
+    for (const auto& inst : script.order) {
       auto it = per_instance_s.find(inst.stmt_id);
       if (it == per_instance_s.end()) {
         const LoopCharacteristics lc =
@@ -100,11 +94,11 @@ Result<CacheSimResult> SimulateCacheBehavior(
     const CostModelOptions& options) {
   // The opportunistic ablation deliberately ignores the plan's sharing set
   // — exactly like the engine's kOpportunisticCache mode.
-  RealizedPlan rp = RealizePlan(program, schedule,
-                                sim.opportunistic
-                                    ? std::vector<const CoAccess*>{}
-                                    : realized);
-  const AccessScript script = BuildAccessScript(program, rp);
+  auto lowered = LowerPlan(
+      program, schedule,
+      sim.opportunistic ? std::vector<const CoAccess*>{} : realized);
+  RIOT_RETURN_NOT_OK(lowered.status());
+  const AccessScript& script = *lowered;
 
   BufferPool pool(sim.cap_bytes, MakeReplacementPolicy(sim.policy));
   const bool schedule_policy =
@@ -125,9 +119,9 @@ Result<CacheSimResult> SimulateCacheBehavior(
   // depends on it.
   std::vector<std::pair<int, BufferPool::Frame*>> frames;
   size_t cur_group = 0;
-  for (size_t pos = 0; pos < rp.order.size(); ++pos) {
-    if (rp.group_of[pos] != cur_group) {
-      cur_group = rp.group_of[pos];
+  for (size_t pos = 0; pos < script.order.size(); ++pos) {
+    if (script.group_of[pos] != cur_group) {
+      cur_group = script.group_of[pos];
       pool.ReleaseRetainedBefore(static_cast<int64_t>(cur_group));
     }
     if (schedule_policy) {
@@ -207,7 +201,6 @@ namespace {
 
 // One tenant's replay state over the shared pool.
 struct TenantReplay {
-  RealizedPlan rp;
   AccessScript script;
   std::shared_ptr<const BlockUseMap> bound;
   std::unique_ptr<PoolAccount> account;
@@ -245,8 +238,8 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
   auto pre_step = [&](size_t t, size_t pos) -> Status {
     TenantReplay& st = state[t];
     CacheSimResult& per = out.per_tenant[t];
-    if (st.rp.group_of[pos] != st.cur_group) {
-      st.cur_group = st.rp.group_of[pos];
+    if (st.script.group_of[pos] != st.cur_group) {
+      st.cur_group = st.script.group_of[pos];
       pool.ReleaseRetainedBefore(static_cast<int64_t>(st.cur_group),
                                  st.account.get());
     }
@@ -335,17 +328,19 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
   for (size_t t = 0; t < tenants.size(); ++t) {
     const TenantCacheScript& ts = tenants[t];
     TenantReplay& st = state[t];
-    st.rp = RealizePlan(*ts.program, *ts.schedule,
-                        sim.opportunistic ? std::vector<const CoAccess*>{}
-                                          : ts.realized);
-    st.script = BuildAccessScript(*ts.program, st.rp);
+    auto lowered = LowerPlan(*ts.program, *ts.schedule,
+                             sim.opportunistic
+                                 ? std::vector<const CoAccess*>{}
+                                 : ts.realized);
+    RIOT_RETURN_NOT_OK(lowered.status());
+    st.script = std::move(lowered).ValueOrDie();
     st.account = std::make_unique<PoolAccount>();
     st.account->budget_bytes =
         ts.budget_bytes > 0 ? ts.budget_bytes : sim.cap_bytes;
-    if (st.rp.order.empty()) {
+    if (st.script.order.empty()) {
       return Status::InvalidArgument("multi-tenant sim: empty plan");
     }
-    total_turns += st.rp.order.size();
+    total_turns += st.script.order.size();
     if (schedule_policy) {
       auto remapped = std::make_shared<BlockUseMap>();
       for (const auto& [key, positions] : st.script.block_uses) {
@@ -372,7 +367,7 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
     }
     const size_t t = static_cast<size_t>(t_idx);
     TenantReplay& st = state[t];
-    if (st.done >= st.rp.order.size()) {
+    if (st.done >= st.script.order.size()) {
       return Status::InvalidArgument(
           "multi-tenant sim: interleaving overruns tenant " +
           std::to_string(t));
@@ -380,7 +375,7 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
     const size_t pos = st.done;
     post_step(t, pos);
     ++st.done;
-    if (st.done < st.rp.order.size()) {
+    if (st.done < st.script.order.size()) {
       Status s = pre_step(t, st.done);
       if (!s.ok()) return s;
     } else {

@@ -2,9 +2,11 @@
 // peak memory requirement of a schedule realizing a set of sharing
 // opportunities.
 //
-// The evaluation sweeps statement instances in scheduled order under the
-// linear sharing model. Because the system works at block granularity and
-// the extents are instance-exact, predicted I/O volume matches executed I/O
+// The evaluation is a sum over the plan's lowered access script
+// (core/access_plan.h) under the linear sharing model, and its peak is the
+// maximum of the script's per-position requirement: the same lowering the
+// engine executes. Because the system works at block granularity and the
+// extents are instance-exact, predicted I/O volume matches executed I/O
 // volume byte-for-byte (the paper reports 0.6-2.3% error only because it
 // converts volume to seconds with a two-rate disk model; we expose both).
 //
@@ -100,7 +102,9 @@ struct PlanCost {
 };
 
 /// \brief Evaluates the cost of executing `program` under `schedule` while
-/// exploiting exactly the sharing opportunities in `realized`.
+/// exploiting exactly the sharing opportunities in `realized`. The plan
+/// must lower (see LowerPlan); a malformed one CHECK-fails here, so callers
+/// holding an untrusted schedule lower it first.
 PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
                           const std::vector<const CoAccess*>& realized,
                           const CostModelOptions& options = {});

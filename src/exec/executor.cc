@@ -96,13 +96,12 @@ Executor::Executor(const Program& program, std::vector<BlockStore*> stores,
   }
 }
 
-Status Executor::LintLoweredPlan(const RealizedPlan& rp,
-                                 const AccessScript& script,
+Status Executor::LintLoweredPlan(const AccessScript& script,
                                  const InstanceDag* dag) const {
   if (!opts_.lint) return Status::OK();
   const InstanceDag local = dag == nullptr ? BuildInstanceDag(script)
                                            : InstanceDag{};
-  auto lint = LintScript(prog_, rp, script, dag != nullptr ? *dag : local);
+  auto lint = LintScript(prog_, script, dag != nullptr ? *dag : local);
   RIOT_RETURN_NOT_OK(lint.status());
   if (!lint->ok()) return Status::InvalidArgument(lint->ToString());
   return Status::OK();
@@ -123,11 +122,11 @@ Status Executor::LintLoweredPlan(const RealizedPlan& rp,
 //     instance's own requirement R(pos): they are frames R(pos) already
 //     counts, so they need no memory beyond what the plan requires.
 // The worker count changes only how the next instance is picked:
-//   * one worker: the next position of rp.order, on the calling thread. No
-//     dependence DAG is built and no thread is spawned; the order is a
-//     linear extension of the DAG, so this is the DAG dispatch's special
-//     case and the reference semantics every worker count reproduces
-//     bit-for-bit;
+//   * one worker: the next position of the script's order, on the calling
+//     thread. No dependence DAG is built and no thread is spawned; the
+//     order is a linear extension of the DAG, so this is the DAG
+//     dispatch's special case and the reference semantics every worker
+//     count reproduces bit-for-bit;
 //   * N workers: the access script is lifted to the statement-instance
 //     DAG (BuildInstanceDag) and N threads pop the smallest ready position.
 // Every physical hazard is covered by one of:
@@ -152,12 +151,14 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   const SessionBinding* session = opts_.session;
   // Under the opportunistic-cache ablation the plan's sharing set is
   // deliberately ignored: no saved reads, no retention obligations.
-  RealizedPlan rp = RealizePlan(prog_, schedule,
-                                opportunistic
-                                    ? std::vector<const CoAccess*>{}
-                                    : realized);
-  const AccessScript script = BuildAccessScript(prog_, rp);
-  const size_t n = rp.order.size();
+  // A malformed schedule or map is an error here, before any store is
+  // touched.
+  auto lowered = LowerPlan(
+      prog_, schedule,
+      opportunistic ? std::vector<const CoAccess*>{} : realized);
+  RIOT_RETURN_NOT_OK(lowered.status());
+  const AccessScript script = std::move(lowered).ValueOrDie();
+  const size_t n = script.order.size();
   // The ablation is defined against the serial reference order, and
   // session runs are serial by contract (the sessions themselves are the
   // parallelism).
@@ -171,7 +172,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   if (nworkers > 1) {
     dag = std::make_unique<const InstanceDag>(BuildInstanceDag(script));
   }
-  RIOT_RETURN_NOT_OK(LintLoweredPlan(rp, script, dag.get()));
+  RIOT_RETURN_NOT_OK(LintLoweredPlan(script, dag.get()));
   // The read rule. A non-saved read of a resident block is served from
   // memory whenever another thread may hold that frame — another worker,
   // or another tenant of a shared pool: re-reading disk into a frame
@@ -351,8 +352,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   } sc;
   {
     MutexLock lock(&sc.mu);  // no worker runs yet; lock for the analysis
-    sc.group_left.assign(rp.num_groups, 0);
-    for (size_t p = 0; p < n; ++p) ++sc.group_left[rp.group_of[p]];
+    sc.group_left.assign(script.num_groups, 0);
+    for (size_t p = 0; p < n; ++p) ++sc.group_left[script.group_of[p]];
     if (dag != nullptr) {
       sc.pred_left = dag->pred_count;
       for (size_t p = 0; p < n; ++p) {
@@ -753,7 +754,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     // A failed write-behind ends the run; the cleanup's drain reports it
     // as the run's status.
     if (ledger.failed.load()) return Status::IoError("write-through failed");
-    const auto& inst = rp.order[pos];
+    const auto& inst = script.order[pos];
     const Statement& st = prog_.statement(inst.stmt_id);
     const size_t na = st.accesses.size();
     std::vector<BufferPool::Frame*> frames(na, nullptr);
@@ -948,10 +949,10 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
           pool.AdvanceReplacementClock(bound_uses,
                                        static_cast<int64_t>(sc.frontier));
         }
-        const size_t g = rp.group_of[pos];
+        const size_t g = script.group_of[pos];
         if (--sc.group_left[g] == 0) {
           size_t gf = group_frontier.load();
-          while (gf < rp.num_groups && sc.group_left[gf] == 0) ++gf;
+          while (gf < script.num_groups && sc.group_left[gf] == 0) ++gf;
           if (gf != group_frontier.load()) {
             group_frontier.store(gf);
             pool.ReleaseRetainedBefore(static_cast<int64_t>(gf), account);

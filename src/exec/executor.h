@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "analysis/coaccess.h"
-#include "core/plan_realization.h"
 #include "ir/program.h"
 #include "ir/schedule.h"
 #include "kernels/dense.h"
@@ -287,7 +286,7 @@ class Executor {
  private:
   /// Script-level lint of the lowered plan (ExecOptions::lint); OK when
   /// linting is off or the plan is clean.
-  Status LintLoweredPlan(const RealizedPlan& rp, const AccessScript& script,
+  Status LintLoweredPlan(const AccessScript& script,
                          const InstanceDag* dag) const;
 
   const Program& prog_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ir/int_affine.h"
 #include "util/logging.h"
 
 namespace riot {
@@ -113,12 +114,31 @@ Status Program::Validate() const {
       return Status::InvalidArgument("statement " + s.name +
                                      " has multiple write accesses");
     }
-    // Every access in the domain must land inside the array's block grid.
+    // Every access in the domain must land on an integer block inside the
+    // array's block grid.
+    std::vector<IntAffineMap> phis;
+    for (const auto& a : s.accesses) {
+      auto phi = IntAffineMap::Compile(a.phi);
+      if (!phi.ok()) {
+        return Status::InvalidArgument("access map of " + s.name + " -> " +
+                                       array(a.array_id).name + ": " +
+                                       phi.status().message());
+      }
+      phis.push_back(std::move(phi).ValueOrDie());
+    }
+    BlockCoord c;
     for (const auto& iter : InstancesOf(s.id)) {
-      for (const auto& a : s.accesses) {
+      for (size_t ai = 0; ai < s.accesses.size(); ++ai) {
+        const Access& a = s.accesses[ai];
         if (!a.ActiveAt(iter)) continue;
-        BlockCoord c = a.BlockAt(iter);
         const ArrayInfo& arr = array(a.array_id);
+        c.resize(arr.ndim());
+        const IntEval e = phis[ai].Apply(iter.data(), c.data());
+        if (e != IntEval::kOk) {
+          return Status::InvalidArgument("block subscript of " + s.name +
+                                         " -> " + arr.name + " " +
+                                         IntEvalError(e));
+        }
         for (size_t d = 0; d < c.size(); ++d) {
           if (c[d] < 0 || c[d] >= arr.grid[d]) {
             return Status::OutOfRange("access in " + s.name + " maps outside " +

@@ -13,7 +13,7 @@
 //                   eviction behavior — the seq index keeps LRU exact.)
 //   * ScheduleOpt — Belady/MIN driven by the plans' block access scripts:
 //                   each executor binds its per-(array, block) future-use
-//                   positions (core/access_plan's BuildAccessScript emits
+//                   positions (core/access_plan's LowerPlan emits
 //                   them) and advances its own logical clock as statement
 //                   instances complete. Victim scoring by bind count:
 //

@@ -15,7 +15,6 @@
 
 #include "core/access_plan.h"
 #include "core/lowering.h"
-#include "core/plan_realization.h"
 #include "ir/builder.h"
 #include "ir/program.h"
 #include "ir/scalar_ops.h"
@@ -86,15 +85,13 @@ Program WriteThenRead(bool persistent_c = true) {
 }
 
 struct Lowered {
-  RealizedPlan rp;
   AccessScript script;
   InstanceDag dag;
 };
 
 Lowered Lower(const Program& p) {
   Lowered l;
-  l.rp = RealizePlan(p, p.original_schedule(), {});
-  l.script = BuildAccessScript(p, l.rp);
+  l.script = LowerPlan(p, p.original_schedule(), {}).ValueOrDie();
   l.dag = BuildInstanceDag(l.script);
   return l;
 }
@@ -281,7 +278,7 @@ TEST(ProgramLintTest, ElidedWriteLaterReadFromDiskIsFlagged) {
     }
   }
   ASSERT_TRUE(mutated);
-  auto report = LintScript(p, l.rp, l.script, l.dag);
+  auto report = LintScript(p, l.script, l.dag);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->Has(LintCode::kElidedWriteRead)) << report->ToString();
 }
@@ -297,7 +294,7 @@ TEST(ProgramLintTest, BogusDepPosIsFlagged) {
     }
   }
   ASSERT_TRUE(mutated);
-  auto report = LintScript(p, l.rp, l.script, l.dag);
+  auto report = LintScript(p, l.script, l.dag);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->Has(LintCode::kBadDepPos)) << report->ToString();
 }
@@ -308,13 +305,13 @@ TEST(ProgramLintTest, DeletedDagEdgeIsFlagged) {
   // The only dependence is s1's write -> s2's read (positions 0 -> 1).
   ASSERT_EQ(l.dag.succ.size(), 2u);
   ASSERT_FALSE(l.dag.succ[0].empty());
-  auto clean = LintScript(p, l.rp, l.script, l.dag);
+  auto clean = LintScript(p, l.script, l.dag);
   ASSERT_TRUE(clean.ok());
   ASSERT_TRUE(clean->ok()) << clean->ToString();
   // Delete the edge (and its in-degree) — the RAW pair is now unordered.
   l.dag.succ[0].clear();
   l.dag.pred_count[1] = 0;
-  auto report = LintScript(p, l.rp, l.script, l.dag);
+  auto report = LintScript(p, l.script, l.dag);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->Has(LintCode::kMissingDagEdge)) << report->ToString();
   EXPECT_TRUE(report->dag_cross_checked);
@@ -324,7 +321,7 @@ TEST(ProgramLintTest, InconsistentPredCountIsFlagged) {
   Program p = WriteThenRead();
   Lowered l = Lower(p);
   l.dag.pred_count[1] += 1;  // bookkeeping no edge backs
-  auto report = LintScript(p, l.rp, l.script, l.dag);
+  auto report = LintScript(p, l.script, l.dag);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->Has(LintCode::kDagInconsistent)) << report->ToString();
 }
@@ -334,7 +331,7 @@ TEST(ProgramLintTest, InstanceCapSkipsBruteForceOnly) {
   Lowered l = Lower(p);
   LintOptions opts;
   opts.max_dag_instances = 4;  // below the 8 instances
-  auto report = LintScript(p, l.rp, l.script, l.dag, opts);
+  auto report = LintScript(p, l.script, l.dag, opts);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->ToString();
   EXPECT_FALSE(report->dag_cross_checked);

@@ -1,4 +1,4 @@
-// The block access script must be a faithful lowering of the realized plan:
+// The block access script must be a faithful lowering of the plan:
 // same access order as the engine's two-pass walk, saved/retention flags
 // matching the realization, and read->write dependence positions that a
 // prefetcher can trust.
@@ -13,6 +13,7 @@
 #include "analysis/coaccess.h"
 #include "core/schedule_solver.h"
 #include "ops/workload.h"
+#include "testing/reference_lowering.h"
 
 namespace riot {
 namespace {
@@ -27,11 +28,12 @@ const CoAccess* Find(const std::vector<CoAccess>& list, const Program& p,
 
 TEST(AccessScriptTest, OrderedPerInstanceReadsThenWrite) {
   Workload w = MakeExample1(2, 3, 2);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
 
-  ASSERT_EQ(s.per_pos.size(), rp.order.size());
-  EXPECT_EQ(s.num_groups, rp.num_groups);
+  ASSERT_EQ(s.per_pos.size(), s.order.size());
+  ASSERT_EQ(s.group_of.size(), s.order.size());
+  EXPECT_EQ(s.num_groups, s.group_of.back() + 1);
   size_t covered = 0;
   for (size_t pos = 0; pos < s.per_pos.size(); ++pos) {
     auto [begin, end] = s.per_pos[pos];
@@ -40,8 +42,8 @@ TEST(AccessScriptTest, OrderedPerInstanceReadsThenWrite) {
     for (uint32_t i = begin; i < end; ++i) {
       const BlockAccessRecord& r = s.records[i];
       EXPECT_EQ(r.pos, pos);
-      EXPECT_EQ(r.group, rp.group_of[pos]);
-      EXPECT_EQ(r.stmt_id, rp.order[pos].stmt_id);
+      EXPECT_EQ(r.group, s.group_of[pos]);
+      EXPECT_EQ(r.stmt_id, s.order[pos].stmt_id);
       if (r.type == AccessType::kWrite) {
         seen_write = true;
       } else {
@@ -66,20 +68,21 @@ TEST(AccessScriptTest, SavedFlagsMatchRealization) {
   for (auto* o : q) ASSERT_NE(o, nullptr);
   auto sched = solver.FindSchedule(q);
   ASSERT_TRUE(sched.has_value());
-  RealizedPlan rp = RealizePlan(w.program, *sched, q);
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s = LowerPlan(w.program, *sched, q).ValueOrDie();
 
   size_t saved_reads = 0, saved_writes = 0;
   for (const auto& r : s.records) {
     if (r.type == AccessType::kRead && r.saved) ++saved_reads;
     if (r.type == AccessType::kWrite && r.saved) ++saved_writes;
   }
+  const reference::RealizedPlan rp =
+      reference::RealizePlan(w.program, *sched, q);
   EXPECT_EQ(saved_reads, rp.saved_reads.size());
   EXPECT_EQ(saved_writes, rp.saved_writes.size() + rp.elided_writes.size());
 
   // Every retention span's source position carries the retention.
   std::map<std::tuple<size_t, int, int64_t>, int64_t> want;
-  for (const auto& span : rp.spans) {
+  for (const auto& span : s.spans) {
     auto key = std::make_tuple(span.begin_pos, span.array_id, span.block);
     want[key] = std::max(want.count(key) ? want[key] : int64_t{-1},
                          static_cast<int64_t>(span.end_group));
@@ -101,8 +104,8 @@ TEST(AccessScriptTest, ReadDependsOnLatestEarlierWrite) {
   // must point at the position of the latest earlier C-write; A/B/D reads
   // (never written) carry no dependence.
   Workload w = MakeExample1(2, 2, 2);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
 
   std::map<std::pair<int, int64_t>, int64_t> last_write;
   for (const auto& r : s.records) {
@@ -147,9 +150,12 @@ std::vector<std::vector<bool>> Reachability(const InstanceDag& dag) {
 
 TEST(AccessScriptTest, KeepsRequiredBytesPerPosition) {
   Workload w = MakeExample1(2, 3, 2);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
-  AccessScript s = BuildAccessScript(w.program, rp);
-  EXPECT_EQ(s.required_bytes, RequiredBytesPerPosition(w.program, rp));
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
+  EXPECT_EQ(s.required_bytes,
+            reference::RequiredBytesPerPosition(
+                w.program, reference::RealizePlan(
+                               w.program, w.program.original_schedule(), {})));
   EXPECT_EQ(s.required_bytes.size(), s.per_pos.size());
 }
 
@@ -179,13 +185,13 @@ TEST(RangeMaxTest, MatchesBruteForce) {
 
 TEST(InstanceDagTest, EdgesForwardAndConsistent) {
   Workload w = MakeExample1(2, 3, 2);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
   InstanceDag dag = BuildInstanceDag(s);
 
-  ASSERT_EQ(dag.succ.size(), rp.order.size());
-  ASSERT_EQ(dag.pred_count.size(), rp.order.size());
-  std::vector<uint32_t> indeg(rp.order.size(), 0);
+  ASSERT_EQ(dag.succ.size(), s.order.size());
+  ASSERT_EQ(dag.pred_count.size(), s.order.size());
+  std::vector<uint32_t> indeg(s.order.size(), 0);
   for (size_t p = 0; p < dag.succ.size(); ++p) {
     for (size_t i = 0; i < dag.succ[p].size(); ++i) {
       uint32_t q = dag.succ[p][i];
@@ -199,15 +205,15 @@ TEST(InstanceDagTest, EdgesForwardAndConsistent) {
   }
   EXPECT_GE(dag.critical_path, 1u);
   EXPECT_GE(dag.max_width, 1u);
-  EXPECT_LE(dag.critical_path * 1u, rp.order.size());
+  EXPECT_LE(dag.critical_path * 1u, s.order.size());
 }
 
 TEST(InstanceDagTest, ClassicConflictsAreOrdered) {
   // Brute force over the script: any two instances touching the same block
   // with at least one kernel write must be ordered in the DAG.
   Workload w = MakeExample1(2, 2, 2);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
   InstanceDag dag = BuildInstanceDag(s);
   auto reach = Reachability(dag);
 
@@ -242,8 +248,7 @@ TEST(InstanceDagTest, SavedReadOrderedAfterMaterializer) {
   for (auto* o : q) ASSERT_NE(o, nullptr);
   auto sched = solver.FindSchedule(q);
   ASSERT_TRUE(sched.has_value());
-  RealizedPlan rp = RealizePlan(w.program, *sched, q);
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s = LowerPlan(w.program, *sched, q).ValueOrDie();
   InstanceDag dag = BuildInstanceDag(s);
   auto reach = Reachability(dag);
 
@@ -275,11 +280,11 @@ TEST(InstanceDagTest, IndependentInstancesExposeWidth) {
   // 2mm: instances with distinct output blocks and disjoint accumulation
   // chains are unordered — the DAG must expose real parallelism.
   Workload w = MakeTwoMatMul(TwoMatMulConfig::kConfigA, /*scale=*/1000);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
-  AccessScript s = BuildAccessScript(w.program, rp);
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
   InstanceDag dag = BuildInstanceDag(s);
   EXPECT_GT(dag.max_width, 1u);
-  EXPECT_LT(dag.critical_path, rp.order.size());
+  EXPECT_LT(dag.critical_path, s.order.size());
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/optimizer.h"
-#include "core/plan_realization.h"
+#include "core/access_plan.h"
 #include "core/schedule_solver.h"
 #include "ops/workload.h"
 
@@ -160,16 +160,19 @@ TEST(CostModelTest, IoSecondsUsesAsymmetricRates) {
 
 TEST(PlanRealizationTest, GroupsFollowTimePrefix) {
   Workload w = MakeExample1(2, 2, 1);
-  RealizedPlan rp = RealizePlan(w.program, w.program.original_schedule(), {});
+  const AccessScript s =
+      LowerPlan(w.program, w.program.original_schedule(), {}).ValueOrDie();
   // Original schedule: every instance has a distinct time prefix except
   // statements sharing the final constant dimension — with sequential
   // nests, s1 and s2 instances never share a group.
-  ASSERT_EQ(rp.order.size(), rp.group_of.size());
-  for (size_t i = 1; i < rp.order.size(); ++i) {
-    EXPECT_GE(rp.group_of[i], rp.group_of[i - 1]);
+  ASSERT_EQ(s.order.size(), s.group_of.size());
+  for (size_t i = 1; i < s.order.size(); ++i) {
+    EXPECT_GE(s.group_of[i], s.group_of[i - 1]);
   }
-  EXPECT_EQ(rp.saved_reads.size(), 0u);
-  EXPECT_EQ(rp.spans.size(), 0u);
+  for (const BlockAccessRecord& rec : s.records) {
+    EXPECT_FALSE(rec.type == AccessType::kRead && rec.saved);
+  }
+  EXPECT_EQ(s.spans.size(), 0u);
 }
 
 TEST(CacheSimTest, LooseCapMatchesLinearModelAndTightCapAddsReads) {
@@ -247,14 +250,27 @@ TEST(PlanRealizationTest, WWSaveRequiresMemoryServedReadsBetween) {
   ASSERT_NE(ww, nullptr);
   auto s = solver.FindSchedule({ww});
   ASSERT_TRUE(s.has_value());
-  RealizedPlan rp = RealizePlan(w.program, *s, {ww});
-  EXPECT_TRUE(rp.saved_writes.empty());
+  // E is persistent, so a saved write of s2's E access can only be a W->W
+  // save.
+  ASSERT_TRUE(w.program.array(ww->array_id).persistent);
+  auto saved_ww_sources = [&](const Schedule& sched,
+                              const std::vector<const CoAccess*>& q) {
+    size_t saved = 0;
+    for (const BlockAccessRecord& rec :
+         LowerPlan(w.program, sched, q).ValueOrDie().records) {
+      if (rec.stmt_id == ww->src.stmt_id &&
+          rec.access_idx == ww->src.access_idx && rec.saved) {
+        ++saved;
+      }
+    }
+    return saved;
+  };
+  EXPECT_EQ(saved_ww_sources(*s, {ww}), 0u);
   // With the companion W->R realized, the W->W saves kick in.
   const CoAccess* wr = Find(a.sharing, w.program, "s2WE->s2RE");
   auto s2 = solver.FindSchedule({ww, wr});
   ASSERT_TRUE(s2.has_value());
-  RealizedPlan rp2 = RealizePlan(w.program, *s2, {ww, wr});
-  EXPECT_FALSE(rp2.saved_writes.empty());
+  EXPECT_GT(saved_ww_sources(*s2, {ww, wr}), 0u);
 }
 
 }  // namespace

@@ -150,6 +150,51 @@ TEST(ExecutorTest, ComputeAndIoTimersPopulate)
   EXPECT_GT(stats->block_writes, 0);
 }
 
+TEST(ExecutorTest, MalformedScheduleIsInvalidArgumentBeforeAnyIo) {
+  // Each malformed schedule used to crash Run: an empty one indexed past
+  // the schedule's matrices, a short column aborted a CHECK in TimeOf. The
+  // lowering now rejects them before any store is touched.
+  Workload w = MakeAddMul(/*scale=*/100);
+  auto env = NewMemEnv();
+  auto rt = OpenStores(env.get(), w.program, "/t");
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE(InitInputs(w, *rt, 5).ok());
+  const Schedule& orig = w.program.original_schedule();
+
+  Schedule short_column = orig;
+  {
+    const RMatrix& m = orig.ForStatement(0);
+    RMatrix cut(m.rows(), m.cols() - 1);
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t c = 0; c + 1 < m.cols(); ++c) cut.At(r, c) = m.At(r, c);
+    }
+    short_column.MutableForStatement(0) = cut;
+  }
+  // Time row 1 of statement 0 becomes i/2: not an integer at odd i.
+  Schedule fractional = orig;
+  ASSERT_EQ(fractional.ForStatement(0).At(1, 0), Rational(1));
+  fractional.MutableForStatement(0).At(1, 0) = Rational(1, 2);
+  Schedule extra_statement = orig;
+  extra_statement.Append(orig.ForStatement(0));
+
+  const std::vector<std::pair<std::string, Schedule>> cases = {
+      {"empty", Schedule()},
+      {"short column", short_column},
+      {"fractional time", fractional},
+      {"extra statement", extra_statement}};
+  for (const auto& [name, sched] : cases) {
+    SCOPED_TRACE(name);
+    env->stats().Reset();
+    Executor ex(w.program, rt->raw(), w.kernels);
+    auto stats = ex.Run(sched, {});
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument)
+        << stats.status().ToString();
+    EXPECT_EQ(env->stats().read_ops.load(), 0);
+    EXPECT_EQ(env->stats().write_ops.load(), 0);
+  }
+}
+
 TEST(VerifyTest, MaxAbsDifferenceDetectsMismatch) {
   ArrayInfo info;
   info.name = "A";

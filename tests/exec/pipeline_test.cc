@@ -210,7 +210,7 @@ TEST(PipelineTest, PrefetchesAtExactPeakWhereRequirementDips) {
   const Schedule& sched = r.best().schedule;
   PlanCost cost = EvaluatePlanCost(w.program, sched, q);
   const std::vector<int64_t> required =
-      RequiredBytesPerPosition(w.program, RealizePlan(w.program, sched, q));
+      LowerPlan(w.program, sched, q).ValueOrDie().required_bytes;
   ASSERT_LT(*std::min_element(required.begin(), required.end()),
             cost.peak_memory_bytes);
 
@@ -245,8 +245,7 @@ TEST(PipelineTest, FansOutInstanceReadsAtExactPeak) {
   const std::vector<const CoAccess*> q = BestRealized(r);
   const Schedule& sched = r.best().schedule;
   PlanCost cost = EvaluatePlanCost(w.program, sched, q);
-  const AccessScript script =
-      BuildAccessScript(w.program, RealizePlan(w.program, sched, q));
+  const AccessScript script = LowerPlan(w.program, sched, q).ValueOrDie();
   // The peak holds at 660 of the plan's 720 positions.
   ASSERT_GT(std::count(script.required_bytes.begin(),
                        script.required_bytes.end(), cost.peak_memory_bytes) *

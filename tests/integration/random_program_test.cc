@@ -31,6 +31,7 @@
 #include <optional>
 #include <random>
 #include <thread>
+#include <tuple>
 
 #include "analysis/program_lint.h"
 #include "core/access_plan.h"
@@ -48,6 +49,7 @@
 #include "ops/runtime.h"
 #include "storage/buffer_pool.h"
 #include "storage/env.h"
+#include "testing/reference_lowering.h"
 
 namespace riot {
 namespace {
@@ -374,6 +376,65 @@ std::vector<OraclePlan> OraclePlans(const GeneratedProgram& g,
   return plans;
 }
 
+// Lowering oracle: over the corpus, the single integer lowering pass must
+// reproduce the Rational three-sweep reference (tests/testing) field for
+// field. The lowering does not check legality, so the schedules need no
+// solver: the original one, its loop-fused form (every nest at time 0, so
+// groups hold instances of several statements), its loop-interchanged
+// form, and both. Each runs with no sharing, with every opportunity whose
+// pairs run forward under it, and with each such opportunity alone (a
+// W->W save without its W->R must be refused).
+class LoweringOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LoweringOracleTest, MatchesReferenceOnScheduleVariants) {
+  GeneratedProgram g = Generate(GetParam());
+  ASSERT_TRUE(g.program.Validate().ok());
+  const AnalysisResult analysis = AnalyzeProgram(g.program);
+  const Schedule& orig = g.program.original_schedule();
+  const size_t rows = orig.depth();
+  auto variant = [&](bool fuse, bool interchange) {
+    Schedule s = orig;
+    for (size_t st = 0; st < s.num_statements(); ++st) {
+      RMatrix& m = s.MutableForStatement(static_cast<int>(st));
+      if (fuse) {
+        for (size_t c = 0; c < m.cols(); ++c) m.At(0, c) = Rational(0);
+      }
+      if (interchange && rows >= 4) {
+        for (size_t c = 0; c < m.cols(); ++c) std::swap(m.At(1, c), m.At(2, c));
+      }
+    }
+    return s;
+  };
+  for (int v = 0; v < 4; ++v) {
+    const Schedule sched = variant((v & 1) != 0, (v & 2) != 0);
+    // Stream order key of an instance, as the lowering sorts it.
+    auto key = [&](int stmt, const std::vector<int64_t>& iter) {
+      return std::make_tuple(sched.TimeOf(stmt, iter), stmt, iter);
+    };
+    std::vector<const CoAccess*> forward;
+    for (const CoAccess& o : analysis.sharing) {
+      bool ok = true;
+      for (const InstancePair& pr : o.pairs) {
+        ok = ok && !(key(o.dst.stmt_id, pr.dst_iter) <
+                     key(o.src.stmt_id, pr.src_iter));
+      }
+      if (ok) forward.push_back(&o);
+    }
+    SCOPED_TRACE("seed " + std::to_string(GetParam()) + " variant " +
+                 std::to_string(v));
+    reference::ExpectLoweringMatchesReference(g.program, sched, {});
+    reference::ExpectLoweringMatchesReference(g.program, sched, forward);
+    for (const CoAccess* o : forward) {
+      SCOPED_TRACE(o->Label(g.program));
+      reference::ExpectLoweringMatchesReference(g.program, sched, {o});
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoweringOracleTest,
+                         ::testing::Range(uint64_t{1},
+                                          uint64_t{1} + FuzzSeedCount()));
+
 class SweepOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Multi-worker runs may transiently need more memory than the one-worker
@@ -417,8 +478,8 @@ TEST_P(SweepOracleTest, AllThreadDepthConfigsBitIdentical) {
                  std::to_string(ci));
 
     // DAG oracle on this plan's script.
-    RealizedPlan rp = RealizePlan(g.program, pc.schedule, pc.q);
-    AccessScript script = BuildAccessScript(g.program, rp);
+    const AccessScript script =
+        LowerPlan(g.program, pc.schedule, pc.q).ValueOrDie();
     InstanceDag dag = BuildInstanceDag(script);
     ValidateDagAgainstBruteForce(script, dag);
 
@@ -660,8 +721,8 @@ TEST_P(CacheSimTest, SimulatorMatchesSerialEngineExactly) {
   for (size_t ci = 0; ci < cases.size(); ++ci) {
     const PlanCase& pc = cases[ci];
     const PlanCost cost = EvaluatePlanCost(g.program, *pc.schedule, pc.q);
-    RealizedPlan rp = RealizePlan(g.program, *pc.schedule, pc.q);
-    const AccessScript script = BuildAccessScript(g.program, rp);
+    const AccessScript script =
+        LowerPlan(g.program, *pc.schedule, pc.q).ValueOrDie();
     const int64_t block = g.program.array(0).BlockBytes();
     for (const bool opportunistic : {false, true}) {
       // Tight: for plan-exact runs the plan's exact requirement (the
@@ -790,8 +851,9 @@ TEST_P(MultiTenantOracleTest, MergedClockMatchesSimulatorExactly) {
     const PlanCost cost =
         EvaluatePlanCost(sess.g.program, *sess.schedule, sess.q);
     sess.footprint = cost.peak_memory_bytes;
-    sess.instances =
-        RealizePlan(sess.g.program, *sess.schedule, sess.q).order.size();
+    sess.instances = LowerPlan(sess.g.program, *sess.schedule, sess.q)
+                         .ValueOrDie()
+                         .order.size();
     for (int a = 0; a < static_cast<int>(sess.g.program.arrays().size());
          ++a) {
       sess.pool_ids.push_back(next_pool_id++);

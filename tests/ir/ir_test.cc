@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "ir/int_affine.h"
 #include "ir/program.h"
 #include "ir/schedule.h"
 #include "ops/workload.h"
@@ -93,6 +94,78 @@ TEST(ProgramTest, ValidateCatchesBadAccess) {
   s.accesses.push_back(Read(aid, {{1, 0}, {0, 0}}));
   p.AddStatement(std::move(s), 0, 0);
   EXPECT_FALSE(p.Validate().ok());
+}
+
+TEST(ProgramTest, ValidateRejectsFractionalAccessMap) {
+  // A[i/2, 0]: not an integer block at odd i. Validate used to abort in
+  // Rational::ToInt64; it returns a Status naming the statement and array.
+  Program p;
+  ArrayInfo a;
+  a.name = "Arr";
+  a.grid = {2, 2};
+  a.block_elems = {4, 4};
+  int aid = p.AddArray(a);
+  Statement s;
+  s.name = "half";
+  s.iters = {"i"};
+  s.domain = RectDomain({{0, 3}});
+  Access acc;
+  acc.type = AccessType::kRead;
+  acc.array_id = aid;
+  acc.phi = RMatrix(2, 2);
+  acc.phi.At(0, 0) = Rational(1, 2);
+  s.accesses.push_back(acc);
+  p.AddStatement(std::move(s), 0, 0);
+  const Status st = p.Validate();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("half"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("Arr"), std::string::npos) << st.message();
+}
+
+TEST(IntAffineTest, ScaledGuardMatchesPolyhedronContains) {
+  // Rational guard rows: i/2 - 1 >= 0, i/3 - 2j/5 + 1/7 >= 0 and
+  // i/2 - j/2 + 1/2 >= 0. After LCM scaling the integer rows must give the
+  // same membership as the Rational reference at every point of a box.
+  Polyhedron g(2);
+  g.AddGe(RVector{Rational(1, 2), Rational(0)}, Rational(-1));
+  g.AddGe(RVector{Rational(1, 3), Rational(-2, 5)}, Rational(1, 7));
+  g.AddGe(RVector{Rational(1, 2), Rational(-1, 2)}, Rational(1, 2));
+  Polyhedron eq(2);
+  eq.AddEq(RVector{Rational(2, 3), Rational(-1, 3)}, Rational(0));
+  for (const Polyhedron* p : {&g, &eq}) {
+    auto compiled = IntGuard::Compile(*p);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    int inside_count = 0;
+    for (int64_t i = -12; i <= 12; ++i) {
+      for (int64_t j = -12; j <= 12; ++j) {
+        const std::vector<int64_t> x = {i, j};
+        bool inside = false;
+        ASSERT_EQ(compiled->Contains(x.data(), &inside), IntEval::kOk);
+        EXPECT_EQ(inside, p->Contains(x)) << i << "," << j;
+        inside_count += inside ? 1 : 0;
+      }
+    }
+    EXPECT_GT(inside_count, 0);
+  }
+}
+
+TEST(IntAffineTest, MapValuesAreExactOrAnError) {
+  RMatrix m(2, 3);
+  m.At(0, 0) = Rational(1, 2);
+  m.At(0, 1) = Rational(1, 2);  // (i + j) / 2
+  m.At(1, 2) = Rational(7);
+  auto map = IntAffineMap::Compile(m);
+  ASSERT_TRUE(map.ok());
+  int64_t out[2] = {0, 0};
+  const int64_t even[2] = {3, 5};
+  ASSERT_EQ(map->Apply(even, out), IntEval::kOk);
+  EXPECT_EQ(out[0], 4);
+  EXPECT_EQ(out[1], 7);
+  const int64_t odd[2] = {3, 4};
+  EXPECT_EQ(map->Apply(odd, out), IntEval::kNotInteger);
+  const int64_t huge[2] = {INT64_MAX, 1};
+  EXPECT_EQ(map->Apply(huge, out), IntEval::kOverflow);
 }
 
 TEST(ProgramTest, ValidateAcceptsWorkloads) {
