@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Machine-readable bench trajectory: runs the 2mm (Config A and B) and
-# linreg sweeps, the replacement-policy x cap sweep (solo, plus the
+# linreg sweeps, the optimizer's plan search at perfbench's caps, the replacement-policy x cap sweep (solo, plus the
 # three-session lockstep multi-tenant sweep where the merged ScheduleOpt
 # clock must beat LRU at the sub-working-set cap), the
 # concurrent-session sweep (sessions x pool cap: per-session + aggregate
@@ -36,6 +36,13 @@ for bench in fig4_2mm_a fig5_2mm_b fig6_linreg replacement sessions expr serve; 
   echo "=== ${bench} -> ${out}"
   "${bin}" --json "${out}"
 done
+
+# Plan search at perfbench's combination caps (paper scale, four threads):
+# search counts, closure plans and the best plan's I/O first, then
+# per-phase optimizer seconds.
+out="${out_dir}/BENCH_opt.json"
+echo "=== opt -> ${out}"
+"${build_dir}/bench_opt_time" --json "${out}"
 
 # Kernel microbenchmarks (google-benchmark binary, built only when the
 # library is present): GFLOP/s for packed vs naive vs scalar GEMM across

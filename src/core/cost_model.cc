@@ -12,11 +12,12 @@
 
 namespace riot {
 
-PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
-                          const std::vector<const CoAccess*>& realized,
-                          const CostModelOptions& options) {
+Result<PlanCost> TryEvaluatePlanCost(
+    const Program& program, const Schedule& schedule,
+    const std::vector<const CoAccess*>& realized,
+    const CostModelOptions& options) {
   auto lowered = LowerPlan(program, schedule, realized);
-  RIOT_CHECK(lowered.ok()) << "cost model: " << lowered.status().ToString();
+  RIOT_RETURN_NOT_OK(lowered.status());
   const AccessScript& script = *lowered;
   PlanCost cost;
 
@@ -86,6 +87,14 @@ PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
     }
   }
   return cost;
+}
+
+PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
+                          const std::vector<const CoAccess*>& realized,
+                          const CostModelOptions& options) {
+  auto cost = TryEvaluatePlanCost(program, schedule, realized, options);
+  RIOT_CHECK(cost.ok()) << "cost model: " << cost.status().ToString();
+  return std::move(cost).ValueOrDie();
 }
 
 Result<CacheSimResult> SimulateCacheBehavior(

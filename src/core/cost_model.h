@@ -102,9 +102,16 @@ struct PlanCost {
 };
 
 /// \brief Evaluates the cost of executing `program` under `schedule` while
-/// exploiting exactly the sharing opportunities in `realized`. The plan
-/// must lower (see LowerPlan); a malformed one CHECK-fails here, so callers
-/// holding an untrusted schedule lower it first.
+/// exploiting exactly the sharing opportunities in `realized`. A plan that
+/// does not lower returns LowerPlan's error (see LowerPlan), so callers
+/// holding an untrusted schedule can cost it without crashing.
+Result<PlanCost> TryEvaluatePlanCost(
+    const Program& program, const Schedule& schedule,
+    const std::vector<const CoAccess*>& realized,
+    const CostModelOptions& options = {});
+
+/// \brief TryEvaluatePlanCost for a plan known to lower: a malformed one
+/// CHECK-fails here.
 PlanCost EvaluatePlanCost(const Program& program, const Schedule& schedule,
                           const std::vector<const CoAccess*>& realized,
                           const CostModelOptions& options = {});

@@ -7,6 +7,7 @@
 #include <thread>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -82,6 +83,11 @@ std::vector<std::vector<int>> GenerateCandidates(
   return candidates;
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 OptimizationResult Optimize(const Program& program,
@@ -115,9 +121,18 @@ OptimizationResult Optimize(const Program& program,
     session_cost.compute = it->second;
   }
   OptimizationResult result;
-  result.analysis = AnalyzeProgram(program, options.analysis);
+  {
+    auto ta = std::chrono::steady_clock::now();
+    result.analysis = AnalyzeProgram(program, options.analysis);
+    result.analysis_seconds = SecondsSince(ta);
+  }
   const auto& sharing = result.analysis.sharing;
   const int num_opps = static_cast<int>(sharing.size());
+  auto q_of = [&](const std::vector<int>& opps) {
+    std::vector<const CoAccess*> q;
+    for (int oi : opps) q.push_back(&sharing[static_cast<size_t>(oi)]);
+    return q;
+  };
 
   ScheduleSolver solver(program, result.analysis.dependences, options.solver);
 
@@ -128,20 +143,15 @@ OptimizationResult Optimize(const Program& program,
   CostModelOptions enumerate_cost = session_cost;  // incl. calibrated rates
   enumerate_cost.pressure_cap_bytes = 0;
 
-  auto add_plan = [&](std::vector<int> opps, Schedule sched) {
-    Plan plan;
-    plan.opportunities = std::move(opps);
-    std::vector<const CoAccess*> q;
-    for (int oi : plan.opportunities) {
-      q.push_back(&sharing[static_cast<size_t>(oi)]);
-    }
-    plan.cost = EvaluatePlanCost(program, sched, q, enumerate_cost);
-    plan.schedule = std::move(sched);
-    result.plans.push_back(std::move(plan));
-  };
-
   // Plan 0: the unmodified original schedule.
-  add_plan({}, program.original_schedule());
+  {
+    auto tc = std::chrono::steady_clock::now();
+    Plan plan;
+    plan.schedule = program.original_schedule();
+    plan.cost = EvaluatePlanCost(program, plan.schedule, {}, enumerate_cost);
+    result.plans.push_back(std::move(plan));
+    result.costing_seconds += SecondsSince(tc);
+  }
 
   // Warm the per-statement instance cache before the parallel section (the
   // cache is lazily built and not thread-safe to initialize concurrently).
@@ -151,6 +161,36 @@ OptimizationResult Optimize(const Program& program,
       options.num_threads > 0
           ? options.num_threads
           : std::max<size_t>(1, std::thread::hardware_concurrency());
+  // Runs task(i) for every i < n on up to `workers` threads; the tasks are
+  // independent (FindSchedule, Realizes and costing are const, and
+  // ScheduleSolver's stats are atomic), and each writes only slot i.
+  auto parallel_for = [workers](size_t n,
+                                const std::function<void(size_t)>& task) {
+    std::atomic<size_t> next{0};
+    auto worker = [&]() {
+      for (;;) {
+        const size_t i = next.fetch_add(1);
+        if (i >= n) break;
+        task(i);
+      }
+    };
+    std::vector<std::thread> pool;
+    for (size_t t = 1; t < std::min(workers, n); ++t) {
+      pool.emplace_back(worker);
+    }
+    worker();
+    for (auto& t : pool) t.join();
+  };
+
+  // A found plan's closure: its schedule with every opportunity that
+  // schedule realizes, when that is more than the candidate it was found
+  // for. Pending until the search ends, so closures are deduplicated
+  // against every found plan.
+  struct Closure {
+    int found_plan = -1;
+    std::vector<int> opportunities;
+  };
+  std::vector<Closure> closures;
 
   std::set<std::vector<int>> feasible_prev;  // C_{k-1}
   size_t k = 1;
@@ -161,37 +201,98 @@ OptimizationResult Optimize(const Program& program,
                                          options.use_apriori,
                                          &result.candidates_pruned);
     result.candidates_tested += static_cast<int64_t>(candidates.size());
-    // Test candidates in parallel; they are independent (FindSchedule is
-    // const and ScheduleSolver's stats are atomic).
-    std::vector<std::optional<Schedule>> found(candidates.size());
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        size_t i = next.fetch_add(1);
-        if (i >= candidates.size()) break;
-        std::vector<const CoAccess*> q;
-        for (int oi : candidates[i]) {
-          q.push_back(&sharing[static_cast<size_t>(oi)]);
-        }
-        found[i] = solver.FindSchedule(q);
-      }
+    struct Tested {
+      std::optional<Schedule> schedule;
+      PlanCost cost;
+      std::vector<int> realized;  // the closure's set; empty = no closure
+      int64_t realizes_calls = 0;
+      double find_s = 0, cost_s = 0, closure_s = 0;
     };
-    std::vector<std::thread> pool;
-    for (size_t t = 1; t < std::min(workers, candidates.size()); ++t) {
-      pool.emplace_back(worker);
-    }
-    worker();
-    for (auto& t : pool) t.join();
+    std::vector<Tested> tested(candidates.size());
+    parallel_for(candidates.size(), [&](size_t i) {
+      const std::vector<int>& cand = candidates[i];
+      Tested& t = tested[i];
+      auto t0 = std::chrono::steady_clock::now();
+      t.schedule = solver.FindSchedule(q_of(cand));
+      t.find_s = SecondsSince(t0);
+      if (!t.schedule) return;
+      t0 = std::chrono::steady_clock::now();
+      t.cost = EvaluatePlanCost(program, *t.schedule, q_of(cand),
+                                enumerate_cost);
+      t.cost_s = SecondsSince(t0);
+      t0 = std::chrono::steady_clock::now();
+      for (int oi = 0; oi < num_opps; ++oi) {
+        const bool in_q = std::binary_search(cand.begin(), cand.end(), oi);
+        if (!in_q) ++t.realizes_calls;
+        if (in_q ||
+            solver.Realizes(*t.schedule, sharing[static_cast<size_t>(oi)])) {
+          t.realized.push_back(oi);
+        }
+      }
+      if (t.realized.size() == cand.size()) t.realized.clear();
+      t.closure_s = SecondsSince(t0);
+    });
 
     std::set<std::vector<int>> feasible_k;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!found[i]) continue;
+      Tested& t = tested[i];
+      result.find_schedule_seconds += t.find_s;
+      result.costing_seconds += t.cost_s;
+      result.closure_seconds += t.closure_s;
+      result.realizes_calls += t.realizes_calls;
+      if (!t.schedule) continue;
       ++result.schedules_found;
       feasible_k.insert(candidates[i]);
-      add_plan(candidates[i], std::move(*found[i]));
+      if (!t.realized.empty()) {
+        closures.push_back({static_cast<int>(result.plans.size()),
+                            std::move(t.realized)});
+      }
+      Plan plan;
+      plan.opportunities = candidates[i];
+      plan.schedule = std::move(*t.schedule);
+      plan.cost = t.cost;
+      result.plans.push_back(std::move(plan));
     }
     feasible_prev = std::move(feasible_k);
     ++k;
+  }
+
+  // Closure plans, after every found plan and in found-plan order, each
+  // opportunity set once. A closure that fails to lower or to cost is
+  // dropped and counted.
+  {
+    std::set<std::vector<int>> sets;
+    for (const Plan& p : result.plans) sets.insert(p.opportunities);
+    std::vector<Closure> fresh;
+    for (Closure& c : closures) {
+      if (sets.insert(c.opportunities).second) fresh.push_back(std::move(c));
+    }
+    std::vector<std::optional<PlanCost>> costs(fresh.size());
+    std::vector<double> seconds(fresh.size(), 0.0);
+    parallel_for(fresh.size(), [&](size_t i) {
+      auto t0 = std::chrono::steady_clock::now();
+      const Schedule& sched =
+          result.plans[static_cast<size_t>(fresh[i].found_plan)].schedule;
+      auto cost = TryEvaluatePlanCost(
+          program, sched, q_of(fresh[i].opportunities), enumerate_cost);
+      if (cost.ok()) costs[i] = std::move(cost).ValueOrDie();
+      seconds[i] = SecondsSince(t0);
+    });
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      result.closure_seconds += seconds[i];
+      if (!costs[i]) {
+        ++result.closures_dropped;
+        continue;
+      }
+      Plan plan;
+      plan.opportunities = std::move(fresh[i].opportunities);
+      plan.schedule =
+          result.plans[static_cast<size_t>(fresh[i].found_plan)].schedule;
+      plan.cost = *costs[i];
+      plan.closure_of = fresh[i].found_plan;
+      result.plans.push_back(std::move(plan));
+      ++result.closure_plans;
+    }
   }
 
   // Best plan under the (per-session) memory cap.
@@ -221,12 +322,8 @@ OptimizationResult Optimize(const Program& program,
     int best_capped = -1;
     for (size_t i = 0; i < result.plans.size(); ++i) {
       Plan& p = result.plans[i];
-      std::vector<const CoAccess*> q;
-      for (int oi : p.opportunities) {
-        q.push_back(&sharing[static_cast<size_t>(oi)]);
-      }
-      auto r = SimulateCacheBehavior(program, p.schedule, q, sim,
-                                     session_cost);
+      auto r = SimulateCacheBehavior(program, p.schedule,
+                                     q_of(p.opportunities), sim, session_cost);
       if (!r.ok()) continue;  // infeasible at the cap
       p.cost.capped_block_reads = r->block_reads;
       p.cost.capped_evictions = r->evictions;
@@ -241,9 +338,7 @@ OptimizationResult Optimize(const Program& program,
     if (best_capped >= 0) result.best_index = best_capped;
   }
 
-  result.optimize_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.optimize_seconds = SecondsSince(t0);
   return result;
 }
 

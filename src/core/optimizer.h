@@ -3,6 +3,17 @@
 // (Algorithm 2, using the antimonotonicity of Lemma 2), finds a legal
 // schedule for each feasible combination (Algorithm 3), costs every plan,
 // and selects the cheapest plan whose memory requirement fits the cap.
+//
+// A schedule found for a set Q often realizes more than Q. For each found
+// plan the optimizer also collects every opportunity
+// ScheduleSolver::Realizes accepts under its schedule; when that set is
+// strictly larger than Q it appends a *closure plan*: the same schedule
+// with the realized set as its Q, costed by the same exact model. Closure
+// plans follow every found plan, in found-plan order, one per opportunity
+// set (a set the search already found keeps its found plan). They sit
+// beside their found plans, never replace them: selection is unchanged, so
+// a closure wins only when it is strictly cheaper, and the found plan
+// stays eligible when the closure's larger peak misses the memory cap.
 #ifndef RIOTSHARE_CORE_OPTIMIZER_H_
 #define RIOTSHARE_CORE_OPTIMIZER_H_
 
@@ -33,7 +44,8 @@ struct OptimizerOptions {
   /// Apriori candidate pruning (Lemma 2); false = exhaustive power set
   /// (ablation; exponential in |O| without pruning).
   bool use_apriori = true;
-  /// Optional cap on the size of opportunity combinations explored.
+  /// Optional cap on the size of the opportunity sets FindSchedule tests
+  /// (0 = the original plan only). A closure plan may realize more.
   size_t max_combination_size = std::numeric_limits<size_t>::max();
   /// Worker threads for candidate testing within an Apriori level
   /// (candidates are independent). 0 = hardware concurrency.
@@ -63,6 +75,9 @@ struct Plan {
   std::vector<int> opportunities;  // indices into OptimizationResult sharing
   Schedule schedule;
   PlanCost cost;
+  /// For a closure plan, the index of the found plan whose schedule it
+  /// shares; -1 for plan 0 and for found plans.
+  int closure_of = -1;
 
   std::string DescribeOpportunities(const Program& p,
                                     const std::vector<CoAccess>& o) const;
@@ -75,7 +90,18 @@ struct OptimizationResult {
   int64_t candidates_tested = 0;
   int64_t candidates_pruned = 0;   // skipped thanks to Apriori
   int64_t schedules_found = 0;
-  double optimize_seconds = 0.0;
+  int64_t closure_plans = 0;       // plans.size() = 1 + found + closures
+  int64_t closures_dropped = 0;    // failed to lower or to cost
+  int64_t realizes_calls = 0;      // ScheduleSolver::Realizes for closures
+  double optimize_seconds = 0.0;   // wall time
+  /// Per-phase seconds, summed over the search's worker threads: analysis,
+  /// FindSchedule, closures (Realizes plus costing the closure plans) and
+  /// costing the found plans. At one thread they add up to about
+  /// optimize_seconds.
+  double analysis_seconds = 0.0;
+  double find_schedule_seconds = 0.0;
+  double closure_seconds = 0.0;
+  double costing_seconds = 0.0;
 
   const Plan& best() const { return plans[static_cast<size_t>(best_index)]; }
 };

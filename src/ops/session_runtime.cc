@@ -128,11 +128,13 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
   if (footprint <= 0 || need_work) {
     // The cost model's peak is exact for the serial engine a session runs
     // on (pinned + retained in scheduled order); TotalSeconds is the
-    // modeled io + compute the shortest-work policy ranks by.
-    const PlanCost cost = EvaluatePlanCost(*spec.program, *spec.schedule,
-                                           spec.realized, opts_.cost);
-    if (footprint <= 0) footprint = cost.peak_memory_bytes;
-    if (work <= 0) work = cost.TotalSeconds();
+    // modeled io + compute the shortest-work policy ranks by. A plan that
+    // does not lower fails here, before it reserves anything.
+    auto cost = TryEvaluatePlanCost(*spec.program, *spec.schedule,
+                                    spec.realized, opts_.cost);
+    RIOT_RETURN_NOT_OK(cost.status());
+    if (footprint <= 0) footprint = cost->peak_memory_bytes;
+    if (work <= 0) work = cost->TotalSeconds();
   }
   footprint += opts_.footprint_margin_bytes;
   if (footprint > opts_.pool_cap_bytes) {

@@ -187,7 +187,8 @@ class SessionRuntime {
   /// footprint, waits for admission, runs the plan against the shared
   /// pool, releases the reservation, and returns the session's stats.
   /// Thread-safe; blocks while parked. Fails fast with kResourceExhausted
-  /// when the footprint cannot fit the pool cap even alone.
+  /// when the footprint cannot fit the pool cap even alone, and with
+  /// kInvalidArgument when the plan does not lower (see LowerPlan).
   Result<SessionStats> Run(const SessionSpec& spec) EXCLUDES(mu_);
 
   /// Drops the shared pool's frames for `store` and retires its pool id.

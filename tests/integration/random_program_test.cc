@@ -340,10 +340,13 @@ void ExpectOutputsEqual(const GeneratedProgram& g, const Runtime& want,
 }
 
 // The plans the engine oracles run per program: the original schedule with
-// no sharing, and — when the solver finds one — a schedule realizing up to
-// two sharing opportunities, which exercises saved reads, retention, and
-// elision. (Direct analysis + solver instead of the full optimizer: an
-// oracle needs one realized plan per program, not the whole plan space.)
+// no sharing; when the solver finds one, a schedule realizing up to two
+// sharing opportunities, which exercises saved reads, retention, and
+// elision; and, when that schedule realizes more than it was found for,
+// its closure plan (core/optimizer.h): the same schedule exploiting every
+// opportunity it realizes. (Direct analysis + solver instead of the full
+// optimizer: an oracle needs a few realized plans per program, not the
+// whole plan space.)
 struct OraclePlan {
   Schedule schedule;
   std::vector<const CoAccess*> q;  // into the caller's AnalysisResult
@@ -369,9 +372,16 @@ std::vector<OraclePlan> OraclePlans(const GeneratedProgram& g,
       shared_sched = *s;
     }
   }
-  if (shared_sched.has_value()) {
-    plans.push_back({*shared_sched, shared_q,
-                     EvaluatePlanCost(g.program, *shared_sched, shared_q)});
+  if (!shared_sched.has_value()) return plans;
+  plans.push_back({*shared_sched, shared_q,
+                   EvaluatePlanCost(g.program, *shared_sched, shared_q)});
+  std::vector<const CoAccess*> closure;
+  for (const CoAccess& opp : analysis.sharing) {
+    if (solver.Realizes(*shared_sched, opp)) closure.push_back(&opp);
+  }
+  if (closure.size() > shared_q.size()) {
+    plans.push_back({*shared_sched, closure,
+                     EvaluatePlanCost(g.program, *shared_sched, closure)});
   }
   return plans;
 }
@@ -689,40 +699,18 @@ TEST_P(CacheSimTest, SimulatorMatchesSerialEngineExactly) {
   GeneratedProgram g = Generate(seed);
   ASSERT_TRUE(g.program.Validate().ok());
 
-  // Two plans per program, as in the sweep oracle: the original schedule
-  // with no sharing, and (when the solver finds one) a schedule realizing
-  // up to two sharing opportunities — retention + saved reads interact
-  // with eviction, so both must simulate exactly.
-  AnalysisResult analysis = AnalyzeProgram(g.program);
-  ScheduleSolver solver(g.program, analysis.dependences);
-  struct PlanCase {
-    const Schedule* schedule;
-    std::vector<const CoAccess*> q;
-  };
-  std::vector<PlanCase> cases;
-  cases.push_back({&g.program.original_schedule(), {}});
-  std::optional<Schedule> shared_sched;
-  std::vector<const CoAccess*> shared_q;
-  size_t attempts = 0;
-  for (const CoAccess& opp : analysis.sharing) {
-    if (shared_q.size() >= 2 || ++attempts > 8) break;
-    std::vector<const CoAccess*> trial = shared_q;
-    trial.push_back(&opp);
-    auto s = solver.FindSchedule(trial);
-    if (s.has_value()) {
-      shared_q = trial;
-      shared_sched = *s;
-    }
-  }
-  if (shared_sched.has_value()) cases.push_back({&*shared_sched, shared_q});
+  // The sweep oracle's plans: retention + saved reads interact with
+  // eviction, so every one must simulate exactly.
+  const AnalysisResult analysis = AnalyzeProgram(g.program);
+  const std::vector<OraclePlan> cases = OraclePlans(g, analysis);
 
   auto env = NewMemEnv();
   int run_idx = 0;
   for (size_t ci = 0; ci < cases.size(); ++ci) {
-    const PlanCase& pc = cases[ci];
-    const PlanCost cost = EvaluatePlanCost(g.program, *pc.schedule, pc.q);
+    const OraclePlan& pc = cases[ci];
+    const PlanCost& cost = pc.cost;
     const AccessScript script =
-        LowerPlan(g.program, *pc.schedule, pc.q).ValueOrDie();
+        LowerPlan(g.program, pc.schedule, pc.q).ValueOrDie();
     const int64_t block = g.program.array(0).BlockBytes();
     for (const bool opportunistic : {false, true}) {
       // Tight: for plan-exact runs the plan's exact requirement (the
@@ -751,7 +739,7 @@ TEST_P(CacheSimTest, SimulatorMatchesSerialEngineExactly) {
           eo.mode = opportunistic ? ExecMode::kOpportunisticCache
                                   : ExecMode::kPlanExact;
           Executor ex(g.program, rt->raw(), g.kernels, eo);
-          auto stats = ex.Run(*pc.schedule, pc.q);
+          auto stats = ex.Run(pc.schedule, pc.q);
           ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
           CacheSimOptions sim;
@@ -759,7 +747,7 @@ TEST_P(CacheSimTest, SimulatorMatchesSerialEngineExactly) {
           sim.cap_bytes = cap;
           sim.opportunistic = opportunistic;
           auto predicted =
-              SimulateCacheBehavior(g.program, *pc.schedule, pc.q, sim);
+              SimulateCacheBehavior(g.program, pc.schedule, pc.q, sim);
           ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
 
           EXPECT_EQ(predicted->block_reads, stats->block_reads);

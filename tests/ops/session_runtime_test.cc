@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "core/cost_model.h"
 #include "exec/verify.h"
@@ -515,6 +516,69 @@ TEST(SessionRuntimeTest, ParkTimeoutGiveUpLeaksNothing) {
                     .ok());
   }
   EXPECT_EQ(runtime.stats().sessions_completed, 2);
+}
+
+TEST(SessionRuntimeTest, MalformedScheduleIsInvalidArgumentAndLeaksNothing) {
+  // With footprint 0 the runtime costs the plan to size the session. A
+  // schedule that does not lower used to CHECK-fail in the cost model; now
+  // Run returns kInvalidArgument before it reserves anything, and the
+  // runtime then admits and finishes a session needing the whole cap.
+  Workload w = MakeExample1(2, 2, 2);
+  auto env = NewMemEnv();
+  Runtime ref = MustSoloRun(w, env.get(), "/ref", 5);
+  auto rt = OpenStores(env.get(), w.program, "/s");
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE(InitInputs(w, *rt, 5).ok());
+
+  const int64_t peak = PlanPeakBytes(w);
+  SessionRuntimeOptions opts;
+  opts.pool_cap_bytes = 2 * peak;
+  SessionRuntime runtime(opts);
+
+  const Schedule& orig = w.program.original_schedule();
+  Schedule short_column = orig;
+  {
+    const RMatrix& m = orig.ForStatement(0);
+    RMatrix cut(m.rows(), m.cols() - 1);
+    for (size_t r = 0; r < m.rows(); ++r) {
+      for (size_t c = 0; c + 1 < m.cols(); ++c) cut.At(r, c) = m.At(r, c);
+    }
+    short_column.MutableForStatement(0) = cut;
+  }
+  const Schedule empty;
+  for (const Schedule* bad : {&empty, &std::as_const(short_column)}) {
+    SessionSpec spec;
+    spec.program = &w.program;
+    spec.schedule = bad;
+    spec.stores = rt->raw();
+    spec.kernels = &w.kernels;
+    spec.footprint_bytes = 0;
+    auto r = runtime.Run(spec);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  BufferPoolSnapshot snap = runtime.pool()->Snapshot();
+  EXPECT_EQ(snap.pinned_frames, 0);
+  EXPECT_EQ(snap.required_bytes, 0);
+  EXPECT_EQ(runtime.stats().sessions_completed, 0);
+
+  SessionSpec spec;
+  spec.program = &w.program;
+  spec.schedule = &orig;
+  spec.stores = rt->raw();
+  spec.kernels = &w.kernels;
+  spec.footprint_bytes = opts.pool_cap_bytes;
+  auto ok = runtime.Run(spec);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_FALSE(ok->parked_for_admission);
+  for (int arr : w.output_arrays) {
+    EXPECT_TRUE(VerifyBitEqual(w.program.array(arr),
+                               ref.stores[static_cast<size_t>(arr)].get(),
+                               rt->stores[static_cast<size_t>(arr)].get())
+                    .ok());
+  }
+  EXPECT_EQ(runtime.stats().sessions_completed, 1);
 }
 
 }  // namespace
