@@ -8,6 +8,11 @@
 // small-job-first admission keeps the mice flowing and cuts p99 at the
 // same offered load (the whale's extra wait is bounded by aging).
 //
+// Every template runs the plan the catalog binds it to: the optimizer's
+// cheapest plan within the original schedule's peak. The bench prints each
+// template's original and bound plan (block reads and writes, bytes, peak)
+// and the search's wall time first.
+//
 // A second sweep holds the offered load fixed and varies the buffer-pool
 // cap crossed with the replacement policy: at sub-working-set caps the
 // merged multi-plan ScheduleOpt clock saves block reads over LRU even
@@ -15,7 +20,10 @@
 // under real thread interleavings rather than the lockstep oracle).
 //
 // `--json <path>` writes:
-//   {"bench":"serve","runs":[{"policy":"fifo","replacement":"lru",
+//   {"bench":"serve","templates":[{"template":"read","plan":"original",
+//     "block_reads":..,"block_writes":..,"bytes":..,"peak_bytes":..,
+//     "search_seconds":..}, ...],
+//    "runs":[{"policy":"fifo","replacement":"lru",
 //     "offered_jobs_per_sec":40,"pool_cap_bytes":..,
 //     "jobs":N,"completed":..,"failed":..,"elapsed_seconds":..,
 //     "throughput_jobs_per_sec":..,"latency_p50_s":..,"latency_p99_s":..,
@@ -29,6 +37,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -117,9 +126,47 @@ ServePoint RunOne(const Catalog& catalog, AdmissionPolicyKind policy,
   return pt;
 }
 
-void WriteJson(const std::string& path, const std::vector<ServePoint>& runs) {
+/// One template's plan as the catalog reports it.
+struct TemplatePlan {
+  const char* name;
+  const char* plan;  // "original" or "bound"
+  PlanCost cost;
+  double search_seconds;
+};
+
+std::vector<TemplatePlan> TemplatePlans(const Catalog& catalog) {
+  const std::pair<JobKind, const char*> kinds[] = {
+      {JobKind::kRead, "read"},
+      {JobKind::kWrite, "write"},
+      {JobKind::kWhale, "whale"}};
+  std::vector<TemplatePlan> plans;
+  for (const auto& [kind, name] : kinds) {
+    const OptimizationResult& search = catalog.plan_search(kind);
+    plans.push_back(
+        {name, "original", search.plans[0].cost, search.optimize_seconds});
+    plans.push_back(
+        {name, "bound", search.best().cost, search.optimize_seconds});
+  }
+  return plans;
+}
+
+void WriteJson(const std::string& path,
+               const std::vector<TemplatePlan>& templates,
+               const std::vector<ServePoint>& runs) {
   std::ofstream out(path);
-  out << "{\"bench\": \"serve\", \"runs\": [\n";
+  out << "{\"bench\": \"serve\", \"templates\": [\n";
+  for (size_t i = 0; i < templates.size(); ++i) {
+    const TemplatePlan& t = templates[i];
+    out << "  {\"template\": \"" << t.name << "\""
+        << ", \"plan\": \"" << t.plan << "\""
+        << ", \"block_reads\": " << t.cost.block_reads
+        << ", \"block_writes\": " << t.cost.block_writes
+        << ", \"bytes\": " << t.cost.TotalBytes()
+        << ", \"peak_bytes\": " << t.cost.peak_memory_bytes
+        << ", \"search_seconds\": " << t.search_seconds << "}"
+        << (i + 1 < templates.size() ? "," : "") << "\n";
+  }
+  out << "], \"runs\": [\n";
   for (size_t i = 0; i < runs.size(); ++i) {
     const ServePoint& r = runs[i];
     out << "  {\"policy\": \"" << r.policy << "\""
@@ -176,6 +223,21 @@ void Run(const std::string& json_path) {
   copts.whale_block = 64;
   auto catalog = Catalog::Create(env.get(), copts);
   catalog.status().CheckOK();
+
+  const std::vector<TemplatePlan> templates = TemplatePlans(**catalog);
+  std::printf(
+      "\n=== bound plans (cheapest plan within the original schedule's "
+      "peak) ===\n");
+  std::printf("%8s %9s %12s %12s %10s %10s %10s\n", "template", "plan",
+              "block_reads", "block_writes", "bytes", "peak(B)", "search(s)");
+  for (const TemplatePlan& t : templates) {
+    std::printf("%8s %9s %12lld %12lld %10lld %10lld %10.3f\n", t.name,
+                t.plan, static_cast<long long>(t.cost.block_reads),
+                static_cast<long long>(t.cost.block_writes),
+                static_cast<long long>(t.cost.TotalBytes()),
+                static_cast<long long>(t.cost.peak_memory_bytes),
+                t.search_seconds);
+  }
 
   std::printf(
       "\n=== open-loop serving sweep (Zipf 0.99 over %d datasets, 20%% "
@@ -247,7 +309,7 @@ void Run(const std::string& json_path) {
       "ordering live while several sessions are bound, so its saved reads "
       "over LRU survive multi-tenancy at sub-working-set caps.)\n");
 
-  if (!json_path.empty()) WriteJson(json_path, runs);
+  if (!json_path.empty()) WriteJson(json_path, templates, runs);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "serve/catalog.h"
 
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -42,12 +44,39 @@ Workload MakeWhale(int64_t grid, int64_t block) {
   return FromExpr("serve_whale", g, {e});
 }
 
+// The plan search of one template: the cheapest plan by `cost` whose peak
+// fits the original schedule's, so binding it never asks admission for
+// more memory than the original schedule would.
+OptimizationResult SearchPlans(const Program& program,
+                               const CostModelOptions& cost) {
+  OptimizerOptions o;
+  o.cost = cost;
+  o.memory_cap_bytes =
+      EvaluatePlanCost(program, program.original_schedule(), {}, cost)
+          .peak_memory_bytes;
+  return Optimize(program, o);
+}
+
+// Joins its threads when it goes out of scope, so no return path destroys
+// a joinable std::thread (which would call std::terminate).
+struct JoinOnExit {
+  std::vector<std::thread> threads;
+
+  ~JoinOnExit() { Join(); }
+  void Join() {
+    for (std::thread& t : threads) t.join();
+    threads.clear();
+  }
+};
+
 }  // namespace
 
 Result<std::unique_ptr<Catalog>> Catalog::Create(Env* env,
                                                  const CatalogOptions& opts) {
-  RIOT_CHECK_GT(opts.num_datasets, 0);
-  RIOT_CHECK_GT(opts.num_slots, 0);
+  if (opts.num_datasets <= 0 || opts.num_slots <= 0) {
+    return Status::InvalidArgument(
+        "catalog needs a positive num_datasets and num_slots");
+  }
   auto catalog = std::unique_ptr<Catalog>(new Catalog());
   catalog->opts_ = opts;
 
@@ -65,16 +94,23 @@ Result<std::unique_ptr<Catalog>> Catalog::Create(Env* env,
        "whale"},
   };
   for (Build& b : builds) {
+    b.tmpl->workload = std::move(b.workload);
+    RIOT_RETURN_NOT_OK(b.tmpl->workload.program.Validate());
+  }
+
+  // The searches are CPU work and set-up is disk work: run them side by
+  // side. Declared after `catalog`, so the searches writing into its
+  // templates are joined before it can be destroyed on an error return.
+  JoinOnExit searches;
+  for (Build& b : builds) {
+    Template* t = b.tmpl;
+    searches.threads.emplace_back([t, &opts] {
+      t->search = SearchPlans(t->workload.program, opts.cost);
+    });
+  }
+
+  for (Build& b : builds) {
     Template& t = *b.tmpl;
-    t.workload = std::move(b.workload);
-    RIOT_RETURN_NOT_OK(t.workload.program.Validate());
-
-    const PlanCost cost =
-        EvaluatePlanCost(t.workload.program,
-                         t.workload.program.original_schedule(), {}, opts.cost);
-    t.footprint_bytes = cost.peak_memory_bytes;
-    t.expected_work_seconds = cost.TotalSeconds();
-
     t.is_input.assign(t.workload.program.arrays().size(), false);
     for (int arr : t.workload.input_arrays) {
       t.is_input[static_cast<size_t>(arr)] = true;
@@ -96,6 +132,15 @@ Result<std::unique_ptr<Catalog>> Catalog::Create(Env* env,
       t.by_slot.push_back(std::move(rt));
     }
   }
+
+  searches.Join();
+  for (Build& b : builds) {
+    Template& t = *b.tmpl;
+    for (int oi : t.search.best().opportunities) {
+      t.realized.push_back(
+          &t.search.analysis.sharing[static_cast<size_t>(oi)]);
+    }
+  }
   return catalog;
 }
 
@@ -112,25 +157,36 @@ const Catalog::Template& Catalog::TemplateFor(JobKind kind) const {
   return read_;
 }
 
+bool Catalog::Serves(const JobSpec& job) const {
+  switch (job.kind) {
+    case JobKind::kRead:
+    case JobKind::kWrite:
+    case JobKind::kWhale:
+      return job.dataset >= 0 && job.dataset < opts_.num_datasets;
+  }
+  return false;
+}
+
 SessionSpec Catalog::Bind(const JobSpec& job, int slot) const {
+  RIOT_CHECK(Serves(job)) << "job kind or dataset out of range";
   const Template& t = TemplateFor(job.kind);
-  RIOT_CHECK(job.dataset >= 0 && job.dataset < opts_.num_datasets)
-      << "job dataset out of range";
   RIOT_CHECK(slot >= 0 && slot < opts_.num_slots) << "slot out of range";
   const Runtime& inputs = t.by_dataset[static_cast<size_t>(job.dataset)];
   const Runtime& scratch = t.by_slot[static_cast<size_t>(slot)];
 
   SessionSpec spec;
   spec.program = &t.workload.program;
-  spec.schedule = &t.workload.program.original_schedule();
+  const Plan& plan = t.search.best();
+  spec.schedule = &plan.schedule;
+  spec.realized = t.realized;
   spec.kernels = &t.workload.kernels;
   spec.stores.resize(t.is_input.size());
   for (size_t a = 0; a < t.is_input.size(); ++a) {
     spec.stores[a] =
         (t.is_input[a] ? inputs : scratch).stores[a].get();
   }
-  spec.footprint_bytes = t.footprint_bytes;
-  spec.expected_work_seconds = t.expected_work_seconds;
+  spec.footprint_bytes = plan.cost.peak_memory_bytes;
+  spec.expected_work_seconds = plan.cost.TotalSeconds();
   // The I/O pipeline at paper_io's depth: prefetch into the runtime's
   // headroom and write-behind on its shared workers.
   spec.exec.pipeline_depth = 2;
@@ -138,11 +194,15 @@ SessionSpec Catalog::Bind(const JobSpec& job, int slot) const {
 }
 
 int64_t Catalog::footprint_bytes(JobKind kind) const {
-  return TemplateFor(kind).footprint_bytes;
+  return TemplateFor(kind).search.best().cost.peak_memory_bytes;
 }
 
 double Catalog::expected_work_seconds(JobKind kind) const {
-  return TemplateFor(kind).expected_work_seconds;
+  return TemplateFor(kind).search.best().cost.TotalSeconds();
+}
+
+const OptimizationResult& Catalog::plan_search(JobKind kind) const {
+  return TemplateFor(kind).search;
 }
 
 Status Catalog::ReleaseFrom(SessionRuntime& rt) const {

@@ -15,9 +15,17 @@
 // serving layer exists to exercise. Outputs and scratch temporaries are
 // private per worker slot (slot s reuses its output stores across jobs),
 // so concurrent identical jobs never write one buffer — results are
-// throwaway, isolation is what matters. Footprints and expected work per
-// template are computed once from the cost model and stamped onto every
-// SessionSpec, so admission decisions cost nothing per job.
+// throwaway, isolation is what matters.
+//
+// Every template runs its optimizer-chosen plan. Create runs Optimize once
+// per template, capped at the original schedule's predicted peak, so the
+// bound plan is the cheapest one (by the catalog's cost model) that fits
+// the footprint the original schedule has: it shares blocks the original
+// re-reads and re-writes, and never asks admission for more memory. The
+// searches run on their own threads while the stores are opened and the
+// inputs written. Footprint and expected work come from the bound plan,
+// computed once and stamped onto every SessionSpec, so admission decisions
+// cost nothing per job.
 //
 // Every bound job runs the I/O pipeline (pipeline_depth 2): the session
 // prefetches its plan's upcoming reads into the runtime's unreserved
@@ -33,6 +41,7 @@
 #include <vector>
 
 #include "core/cost_model.h"
+#include "core/optimizer.h"
 #include "ops/runtime.h"
 #include "ops/session_runtime.h"
 #include "ops/workload.h"
@@ -63,20 +72,31 @@ struct CatalogOptions {
 class Catalog {
  public:
   /// Opens and initializes every store under `env` (not owned; must
-  /// outlive the catalog). Paths are prefixed "/serve".
+  /// outlive the catalog) and binds each template to its plan. Paths are
+  /// prefixed "/serve". kInvalidArgument when num_datasets or num_slots is
+  /// not positive.
   static Result<std::unique_ptr<Catalog>> Create(Env* env,
                                                  const CatalogOptions& opts);
 
-  /// The ready-to-run spec for `job` executing on worker `slot`, at
-  /// pipeline_depth 2 (other ExecOptions at their defaults). The
-  /// returned spec's pointers reference catalog-owned state; they are
+  /// True when `job` names a template and a dataset of this catalog.
+  bool Serves(const JobSpec& job) const;
+
+  /// The ready-to-run spec for `job` executing on worker `slot`: the
+  /// template's bound plan at pipeline_depth 2 (other ExecOptions at their
+  /// defaults). Requires Serves(job) and 0 <= slot < num_slots() (CHECKed).
+  /// The returned spec's pointers reference catalog-owned state; they are
   /// valid for the catalog's lifetime. Concurrent Bind calls are safe;
   /// two concurrent jobs may share a slot's stores only if they share the
   /// slot (the server pins one slot per worker).
   SessionSpec Bind(const JobSpec& job, int slot) const;
 
+  /// The bound plan's peak memory (never above the original schedule's)
+  /// and modeled seconds.
   int64_t footprint_bytes(JobKind kind) const;
   double expected_work_seconds(JobKind kind) const;
+  /// The template's plan search: plans[0] is the original schedule,
+  /// best() the bound plan.
+  const OptimizationResult& plan_search(JobKind kind) const;
   int num_datasets() const { return opts_.num_datasets; }
   int num_slots() const { return opts_.num_slots; }
 
@@ -86,12 +106,13 @@ class Catalog {
   Status ReleaseFrom(SessionRuntime& rt) const;
 
  private:
-  /// One template: the lowered workload plus per-dataset shared input
-  /// stores and per-slot private non-input stores.
+  /// One template: the lowered workload, its plan search and bound plan,
+  /// plus per-dataset shared input stores and per-slot private non-input
+  /// stores.
   struct Template {
     Workload workload;
-    int64_t footprint_bytes = 0;
-    double expected_work_seconds = 0;
+    OptimizationResult search;              // best() is the bound plan
+    std::vector<const CoAccess*> realized;  // its Q, into search.analysis
     std::vector<bool> is_input;        // by array id
     std::vector<Runtime> by_dataset;   // inputs used; one per dataset
     std::vector<Runtime> by_slot;      // non-inputs used; one per slot

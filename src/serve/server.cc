@@ -70,8 +70,12 @@ void Server::WorkerLoop(int slot) {
     }
 
     const auto picked = std::chrono::steady_clock::now();
-    const SessionSpec spec = catalog_->Bind(item.job, slot);
-    Result<SessionStats> result = runtime_.Run(spec);
+    // A job the catalog cannot bind fails alone; Bind would CHECK.
+    Result<SessionStats> result =
+        catalog_->Serves(item.job)
+            ? runtime_.Run(catalog_->Bind(item.job, slot))
+            : Result<SessionStats>(
+                  Status::InvalidArgument("job kind or dataset out of range"));
     const auto done = std::chrono::steady_clock::now();
 
     double admission_wait = 0, exec_wall = 0;

@@ -4,7 +4,8 @@
 // the backlog (and hence latency) grows, exactly the open-loop behavior
 // the bench measures. Each worker owns one catalog slot, binds each job
 // it picks up to that slot's private output stores, runs it as a session
-// (admission, budget, shared-frame dedup all apply), and feeds Metrics:
+// (admission, budget, shared-frame dedup all apply), and feeds Metrics
+// (a job the catalog does not serve counts as failed, never binds):
 // end-to-end latency, queue wait, admission wait, and execution wall time.
 #ifndef RIOTSHARE_SERVE_SERVER_H_
 #define RIOTSHARE_SERVE_SERVER_H_

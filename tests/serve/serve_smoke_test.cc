@@ -118,6 +118,45 @@ TEST(ServeSmokeTest, SubmitNeverBlocksWhileWorkersAreBusy) {
   ASSERT_TRUE((*catalog)->ReleaseFrom(server.runtime()).ok());
 }
 
+// A job naming a dataset the catalog lacks fails alone: it never reaches
+// Bind (whose CHECK would abort the worker thread) or the runtime.
+TEST(ServeSmokeTest, OutOfRangeDatasetFailsOnlyThatJob) {
+  auto env = NewMemEnv();
+  auto catalog = Catalog::Create(env.get(), SmallCatalog());
+  ASSERT_TRUE(catalog.ok());
+
+  ServerOptions sopts;
+  sopts.worker_threads = 1;
+  Server server(catalog->get(), sopts);
+  for (int dataset : {-1, (*catalog)->num_datasets()}) {
+    JobSpec bad;
+    bad.kind = JobKind::kWhale;
+    bad.dataset = dataset;
+    server.Submit(bad);
+  }
+  server.Drain();
+  EXPECT_EQ(server.Snapshot().failed, 2);
+  EXPECT_EQ(server.Snapshot().completed, 0);
+
+  JobSpec good;
+  good.kind = JobKind::kWhale;
+  server.Submit(good);
+  server.Drain();
+  const MetricsSnapshot s = server.Snapshot();
+  EXPECT_EQ(s.failed, 2);
+  EXPECT_EQ(s.completed, 1);
+
+  // Only the valid job ever reserved pool memory, and it let it all go.
+  const RuntimeStats rs = server.runtime().stats();
+  EXPECT_EQ(rs.sessions_completed, 1);
+  EXPECT_EQ(rs.sessions_failed, 0);
+  EXPECT_EQ(rs.sessions_parked, 0);
+  EXPECT_EQ(rs.peak_reserved_bytes,
+            (*catalog)->footprint_bytes(JobKind::kWhale));
+  EXPECT_EQ(server.runtime().pool()->PinnedOrRetainedBytes(), 0);
+  ASSERT_TRUE((*catalog)->ReleaseFrom(server.runtime()).ok());
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace riot
