@@ -11,7 +11,6 @@
 //   Plan 2: Plan 1 + fuse the nests, sharing the read of A (optimal here).
 //   Plan 3: share B and D re-reads plus A across statements.
 #include <cstdio>
-#include <set>
 #include <string>
 
 #include "bench_common.h"
@@ -19,24 +18,6 @@
 namespace riot {
 namespace bench {
 namespace {
-
-inline int FindPlan(const OptimizationResult& r, const Program& p,
-             const std::vector<std::string>& labels) {
-  for (size_t i = 0; i < r.plans.size(); ++i) {
-    const Plan& plan = r.plans[i];
-    if (plan.opportunities.size() != labels.size()) continue;
-    std::set<std::string> have;
-    for (int oi : plan.opportunities) {
-      have.insert(r.analysis.sharing[static_cast<size_t>(oi)].Label(p));
-    }
-    bool all = true;
-    for (const auto& l : labels) {
-      if (!have.count(l)) all = false;
-    }
-    if (all) return static_cast<int>(i);
-  }
-  return -1;
-}
 
 inline void Run(TwoMatMulConfig config, const char* title, const char* optimal,
                 int argc = 0, char** argv = nullptr) {
@@ -68,7 +49,7 @@ inline void Run(TwoMatMulConfig config, const char* title, const char* optimal,
   };
   std::vector<PlanRun> runs;
   for (const auto& sel : sels) {
-    int idx = FindPlan(r, p, sel.labels);
+    int idx = h.PlanFor(sel.labels);
     if (idx < 0) {
       std::printf("  !! selected plan not found: %s\n", sel.name);
       continue;

@@ -114,6 +114,41 @@ PlanRun Harness::RunPlan(int plan_index, const std::string& label,
   return run;
 }
 
+int Harness::PlanFor(const std::vector<std::string>& labels) {
+  RIOT_CHECK(optimized_);
+  const Program& p = paper_.program;
+  const std::vector<CoAccess>& sharing = result_.analysis.sharing;
+  std::vector<int> set;
+  for (const std::string& label : labels) {
+    int found = -1;
+    for (size_t i = 0; i < sharing.size(); ++i) {
+      if (sharing[i].Label(p) == label) found = static_cast<int>(i);
+    }
+    if (found < 0) return -1;
+    set.push_back(found);
+  }
+  std::sort(set.begin(), set.end());
+  for (size_t i = 0; i < result_.plans.size(); ++i) {
+    if (result_.plans[i].opportunities == set) return static_cast<int>(i);
+  }
+  std::vector<const CoAccess*> q;
+  for (int oi : set) q.push_back(&sharing[static_cast<size_t>(oi)]);
+  ScheduleSolver solver(p, result_.analysis.dependences);
+  auto schedule = solver.FindSchedule(q);
+  if (!schedule) return -1;
+  Plan plan;
+  plan.opportunities = std::move(set);
+  plan.schedule = std::move(*schedule);
+  plan.cost = EvaluatePlanCost(p, plan.schedule, q);
+  return AddPlan(std::move(plan));
+}
+
+int Harness::AddPlan(Plan plan) {
+  RIOT_CHECK(optimized_);
+  result_.plans.push_back(std::move(plan));
+  return static_cast<int>(result_.plans.size()) - 1;
+}
+
 void Harness::PrintRuns(const std::vector<PlanRun>& runs) {
   std::printf(
       "%-28s %14s %14s %16s %14s %12s %12s\n", "plan",

@@ -97,6 +97,14 @@ class Harness {
   PlanRun RunPlan(int plan_index, const std::string& label,
                   int pipeline_depth = 0, double cap_factor = 1.0);
 
+  /// Index of the plan whose set is exactly the opportunities `labels`
+  /// name. The search returns only the plans it needs, so a set it did not
+  /// return is appended with FindSchedule's schedule for it. -1 when a
+  /// label is unknown or no schedule realizes the set.
+  int PlanFor(const std::vector<std::string>& labels);
+  /// Appends a plan of the paper-scale program; returns its index.
+  int AddPlan(Plan plan);
+
   const OptimizationResult& result() const { return result_; }
   const Workload& paper_workload() const { return paper_; }
   Workload& scaled_workload() { return scaled_; }

@@ -52,9 +52,7 @@ void RunOne(const std::string& name,
             BenchJson* json) {
   std::printf("=== %s (expression-built) ===\n", name.c_str());
   Harness h(name, factory);
-  OptimizerOptions opts;
-  opts.max_combination_size = 3;  // covariance/ridge plans are small sets
-  const auto& r = h.Optimize(opts);
+  const auto& r = h.Optimize();
 
   int scratch = 0;
   for (const ArrayInfo& a : h.paper_workload().program.arrays()) {

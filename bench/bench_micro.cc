@@ -110,16 +110,14 @@ const LowerPlanCase& LowerPlanInput(const std::string& name) {
   auto it = cases.find(name);
   if (it != cases.end()) return it->second;
   LowerPlanCase c;
-  OptimizerOptions opts;
   if (name == "twomm_a") {
     c.w = MakeTwoMatMul(TwoMatMulConfig::kConfigA, 200);
   } else if (name == "addmul") {
     c.w = MakeAddMul(100);
   } else {
     c.w = MakeLinReg(100);
-    opts.max_combination_size = 2;  // as paper_io searches it
   }
-  c.r = Optimize(c.w.program, opts);
+  c.r = Optimize(c.w.program);
   for (int oi : c.r.best().opportunities) {
     c.q.push_back(&c.r.analysis.sharing[static_cast<size_t>(oi)]);
   }

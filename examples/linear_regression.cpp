@@ -20,14 +20,9 @@ int main() {
   Workload w = MakeLinReg(/*scale=*/200);
   w.program.Validate().CheckOK();
 
-  // Keep optimization snappy for a demo: the full search space is explored
-  // by bench/bench_fig6_linreg; here pairs of opportunities suffice to find
-  // the X-sharing plan.
-  OptimizerOptions opts;
-  opts.max_combination_size = 2;
-  OptimizationResult r = Optimize(w.program, opts);
+  OptimizationResult r = Optimize(w.program);
   const Plan& best = r.best();
-  std::printf("explored %lld candidate sharing sets; best plan {%s}\n",
+  std::printf("tested %lld candidate sharing sets; best plan {%s}\n",
               static_cast<long long>(r.candidates_tested),
               best.DescribeOpportunities(w.program, r.analysis.sharing)
                   .c_str());

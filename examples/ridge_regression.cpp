@@ -31,9 +31,7 @@ int main() {
   std::printf("8 statements for two lambdas — X'X and X'y appear once "
               "each (10 without CSE)\n\n");
 
-  OptimizerOptions opts;
-  opts.max_combination_size = 3;
-  OptimizationResult r = Optimize(w.program, opts);
+  OptimizationResult r = Optimize(w.program);
   const Plan& best = r.best();
   std::printf("best plan {%s}\n",
               best.DescribeOpportunities(w.program, r.analysis.sharing)

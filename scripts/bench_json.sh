@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Machine-readable bench trajectory: runs the 2mm (Config A and B) and
-# linreg sweeps, the optimizer's plan search at perfbench's caps, the replacement-policy x cap sweep (solo, plus the
+# linreg sweeps, the optimizer's uncapped plan search on the paper
+# programs, the replacement-policy x cap sweep (solo, plus the
 # three-session lockstep multi-tenant sweep where the merged ScheduleOpt
 # clock must beat LRU at the sub-working-set cap), the
 # concurrent-session sweep (sessions x pool cap: per-session + aggregate
@@ -37,9 +38,9 @@ for bench in fig4_2mm_a fig5_2mm_b fig6_linreg replacement sessions expr serve; 
   "${bin}" --json "${out}"
 done
 
-# Plan search at perfbench's combination caps (paper scale, four threads):
-# search counts, closure plans and the best plan's I/O first, then
-# per-phase optimizer seconds.
+# Uncapped plan search per paper program (paper scale): FindSchedule calls,
+# certified and infeasible-superset skips, cliques, LP calls and the best
+# plan first, then search seconds at 1 and 4 threads and the phase split.
 out="${out_dir}/BENCH_opt.json"
 echo "=== opt -> ${out}"
 "${build_dir}/bench_opt_time" --json "${out}"

@@ -7,7 +7,7 @@
 // Given a schedule and the subset Q of sharing opportunities the plan
 // exploits (paper Section 5.5: code generation exploits exactly Q; what
 // else the schedule enables is exploited only when the optimizer declares
-// it, as it does for a closure plan, whose Q is the schedule's whole
+// it, as it does for a schedule's closure, whose Q is the schedule's whole
 // realized set, see core/optimizer.h), one pass derives:
 //   * the scheduled instance stream, grouped by time prefix (all but the
 //     final constant dimension);

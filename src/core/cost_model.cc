@@ -72,20 +72,6 @@ Result<PlanCost> TryEvaluatePlanCost(
     }
   }
 
-  // Memory-pressure projection: how this schedule behaves as a plain
-  // bounded cache when its exact requirement cannot be afforded.
-  if (options.pressure_cap_bytes > 0) {
-    CacheSimOptions sim;
-    sim.policy = options.pressure_policy;
-    sim.cap_bytes = options.pressure_cap_bytes;
-    sim.opportunistic = true;
-    auto r = SimulateCacheBehavior(program, schedule, realized, sim, options);
-    if (r.ok()) {
-      cost.capped_block_reads = r->block_reads;
-      cost.capped_evictions = r->evictions;
-      cost.capped_io_seconds = r->io_seconds;
-    }
-  }
   return cost;
 }
 

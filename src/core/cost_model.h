@@ -15,10 +15,7 @@
 // policy and cap), mirroring the serial engine's fetch/pin/retain/unpin
 // discipline step for step — so predicted reads, evictions, hits, and
 // misses match a depth-0 serial execution *exactly*, for any policy, at
-// any cap. That lets the optimizer price memory pressure: when no plan's
-// exact requirement fits the cap, plans are ranked by their simulated
-// behavior under a bounded opportunistic cache instead of being assumed to
-// run against an infinite pool.
+// any cap.
 #ifndef RIOTSHARE_CORE_COST_MODEL_H_
 #define RIOTSHARE_CORE_COST_MODEL_H_
 
@@ -42,16 +39,6 @@ struct CostModelOptions {
   /// the paper's measured 96 MB/s read and 60 MB/s write (Section 6 setup).
   double read_mb_per_s = 96.0;
   double write_mb_per_s = 60.0;
-  /// When > 0, EvaluatePlanCost additionally replays the plan through the
-  /// cache simulator under `pressure_policy` at this cap in opportunistic
-  /// mode (a plain bounded cache, no planned sharing), filling the
-  /// PlanCost::capped_* fields — pricing memory pressure instead of
-  /// assuming an infinite pool. The optimizer defers this (enumeration
-  /// stays on the cheap linear model) and simulates only the surviving
-  /// plans, and only when none fits the memory cap exactly. 0 (default)
-  /// skips the simulation.
-  int64_t pressure_cap_bytes = 0;
-  ReplacementKind pressure_policy = ReplacementKind::kScheduleOpt;
   /// In-memory compute term. When set, EvaluatePlanCost prices each
   /// statement instance's flops through the rate table (with the table's
   /// cache penalty when the instance working set spills its modeled cache,
@@ -75,12 +62,6 @@ struct PlanCost {
   int64_t peak_memory_bytes = 0;
   double io_seconds = 0.0;
   double baseline_io_seconds = 0.0;
-  /// Cache-simulator projection under CostModelOptions::pressure_cap_bytes
-  /// (opportunistic replay). -1 = simulation not run or infeasible at that
-  /// cap (an instance's own footprint exceeds it).
-  int64_t capped_block_reads = -1;
-  int64_t capped_evictions = -1;
-  double capped_io_seconds = 0.0;
   /// In-memory compute time over all statement instances (0 unless
   /// CostModelOptions::compute is set).
   double compute_seconds = 0.0;
@@ -88,11 +69,6 @@ struct PlanCost {
   int64_t TotalBytes() const { return read_bytes + write_bytes; }
   /// End-to-end modeled serial time: disk I/O plus in-memory compute.
   double TotalSeconds() const { return io_seconds + compute_seconds; }
-  /// Pressure-mode analogue (capped_io_seconds is only meaningful when the
-  /// cache simulation ran).
-  double CappedTotalSeconds() const {
-    return capped_io_seconds + compute_seconds;
-  }
   double SavingsFraction() const {
     double base = static_cast<double>(baseline_read_bytes) +
                   static_cast<double>(baseline_write_bytes);

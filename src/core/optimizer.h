@@ -1,19 +1,26 @@
-// The RIOTShare optimizer (paper Section 5): enumerates feasible
-// combinations of sharing opportunities with an Apriori-like search
-// (Algorithm 2, using the antimonotonicity of Lemma 2), finds a legal
-// schedule for each feasible combination (Algorithm 3), costs every plan,
-// and selects the cheapest plan whose memory requirement fits the cap.
+// The RIOTShare optimizer (paper Section 5): finds feasible sets of sharing
+// opportunities, a legal schedule for each (FindSchedule, Algorithm 3),
+// costs the plans and selects the cheapest whose memory fits the cap.
 //
-// A schedule found for a set Q often realizes more than Q. For each found
-// plan the optimizer also collects every opportunity
-// ScheduleSolver::Realizes accepts under its schedule; when that set is
-// strictly larger than Q it appends a *closure plan*: the same schedule
-// with the realized set as its Q, costed by the same exact model. Closure
-// plans follow every found plan, in found-plan order, one per opportunity
-// set (a set the search already found keeps its found plan). They sit
-// beside their found plans, never replace them: selection is unchanged, so
-// a closure wins only when it is strictly cheaper, and the found plan
-// stays eligible when the closure's larger peak misses the memory cap.
+// Feasibility is downward closed (Lemma 2), and a plan's I/O depends on its
+// set alone and never grows with it, so with no cap the optimum is a
+// maximal feasible set. The search finds that border exactly, as
+// maximal-itemset miners do (Max-Miner, Dualize and Advance): it tests each
+// singleton and pair, then each maximal clique of the feasible-pair graph
+// (Bron-Kerbosch), descending one opportunity at a time from each that
+// fails. A found schedule's *closure* (every opportunity
+// ScheduleSolver::Realizes accepts under it) certifies its subsets, so a set
+// inside a known closure, or holding a known infeasible set, takes no
+// solver call. Sets are decided in order as if one at a time; the workers
+// test a step ahead and drop results an earlier set made moot, so the
+// result is the same at any thread count. The plans are plan 0 (the original
+// schedule) and each maximal closure under its schedule.
+//
+// Under a cap those miss, the search descends from the maximal closures,
+// cheapest set first, costing a set under the known schedules that realize
+// it and calling FindSchedule only when none fits. A subset never does less
+// I/O, so the first set that fits is added as the best plan. None fits
+// below plan 0's peak, the largest instance footprint.
 #ifndef RIOTSHARE_CORE_OPTIMIZER_H_
 #define RIOTSHARE_CORE_OPTIMIZER_H_
 
@@ -36,19 +43,14 @@ struct OptimizerOptions {
   int64_t memory_cap_bytes = std::numeric_limits<int64_t>::max();
   /// Multi-tenant hint: the number of sessions expected to share the
   /// buffer pool `memory_cap_bytes` describes. With N > 1 the optimizer
-  /// selects plans against the per-session slice (cap / N) — and scales
-  /// the cost model's `pressure_cap_bytes` the same way — so a plan is
+  /// selects plans against the per-session slice (cap / N), so a plan is
   /// only called "fitting" when it fits the memory the session runtime
   /// will actually grant it, not the whole pool.
   int concurrent_sessions = 1;
-  /// Apriori candidate pruning (Lemma 2); false = exhaustive power set
-  /// (ablation; exponential in |O| without pruning).
-  bool use_apriori = true;
-  /// Optional cap on the size of the opportunity sets FindSchedule tests
-  /// (0 = the original plan only). A closure plan may realize more.
+  /// 0 = the original plan only, with no search. Other values are ignored
+  /// (the search is exact); kept for callers that still set it.
   size_t max_combination_size = std::numeric_limits<size_t>::max();
-  /// Worker threads for candidate testing within an Apriori level
-  /// (candidates are independent). 0 = hardware concurrency.
+  /// Worker threads for FindSchedule calls. 0 = hardware concurrency.
   size_t num_threads = 0;
   /// Measure this host's kernel throughput (CalibrateKernelRates, once per
   /// process, cached) and rank plans by io + compute seconds instead of
@@ -75,9 +77,6 @@ struct Plan {
   std::vector<int> opportunities;  // indices into OptimizationResult sharing
   Schedule schedule;
   PlanCost cost;
-  /// For a closure plan, the index of the found plan whose schedule it
-  /// shares; -1 for plan 0 and for found plans.
-  int closure_of = -1;
 
   std::string DescribeOpportunities(const Program& p,
                                     const std::vector<CoAccess>& o) const;
@@ -87,20 +86,21 @@ struct OptimizationResult {
   AnalysisResult analysis;
   std::vector<Plan> plans;  // plans[0] is always the original schedule
   int best_index = 0;       // min I/O time among plans within the memory cap
+  /// FindSchedule calls whose outcomes the search used: the same at any
+  /// thread count. Calls made ahead and dropped are speculative_calls.
   int64_t candidates_tested = 0;
-  int64_t candidates_pruned = 0;   // skipped thanks to Apriori
-  int64_t schedules_found = 0;
-  int64_t closure_plans = 0;       // plans.size() = 1 + found + closures
-  int64_t closures_dropped = 0;    // failed to lower or to cost
-  int64_t realizes_calls = 0;      // ScheduleSolver::Realizes for closures
-  double optimize_seconds = 0.0;   // wall time
-  /// Per-phase seconds, summed over the search's worker threads: analysis,
-  /// FindSchedule, closures (Realizes plus costing the closure plans) and
-  /// costing the found plans. At one thread they add up to about
-  /// optimize_seconds.
+  int64_t speculative_calls = 0;
+  int64_t candidates_pruned = 0;  // certified_skips + infeasible_skips
+  int64_t certified_skips = 0;    // inside a known closure
+  int64_t infeasible_skips = 0;   // holding a known infeasible set
+  int64_t schedules_found = 0;    // FindSchedule calls that found one
+  int64_t cliques = 0;            // maximal cliques of the pair graph
+  int64_t lp_calls = 0;           // LPs solved, speculative calls too
+  double optimize_seconds = 0.0;  // wall time
+  /// Seconds summed over the worker threads: analysis, FindSchedule (with
+  /// each found schedule's closure) and costing.
   double analysis_seconds = 0.0;
   double find_schedule_seconds = 0.0;
-  double closure_seconds = 0.0;
   double costing_seconds = 0.0;
 
   const Plan& best() const { return plans[static_cast<size_t>(best_index)]; }

@@ -221,25 +221,6 @@ TEST(CacheSimTest, SimulationFailsBelowInstanceFootprint) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(CostModelTest, PressureCapRanksPlansWhenNoneFits) {
-  // With a cap below every plan's exact requirement, the optimizer falls
-  // back to the cache simulator's capped projection instead of silently
-  // returning the original schedule.
-  Workload w = MakeExample1(3, 4, 2);
-  OptimizerOptions opts;
-  opts.memory_cap_bytes = 1;  // nothing fits exactly
-  opts.cost.pressure_cap_bytes = EvaluatePlanCost(
-      w.program, w.program.original_schedule(), {}).peak_memory_bytes;
-  OptimizationResult r = Optimize(w.program, opts);
-  const Plan& best = r.best();
-  ASSERT_GE(best.cost.capped_block_reads, 0);
-  // The chosen plan minimizes the simulated capped I/O time.
-  for (const Plan& p : r.plans) {
-    if (p.cost.capped_block_reads < 0) continue;
-    EXPECT_LE(best.cost.capped_io_seconds, p.cost.capped_io_seconds);
-  }
-}
-
 TEST(PlanRealizationTest, WWSaveRequiresMemoryServedReadsBetween) {
   // Realizing only s2WE->s2WE (without s2WE->s2RE) must NOT save the first
   // write, because the read between the two writes would see stale data.

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -18,14 +17,9 @@
 namespace riot {
 namespace {
 
-constexpr size_t kNoCap = std::numeric_limits<size_t>::max();
-
 struct Case {
   std::string name;
   std::function<Workload()> make;
-  // The optimizer's combination-size cap, as the benchmark sets it: the
-  // uncapped searches of linreg and ridge take minutes.
-  size_t max_combination_size;
 };
 
 void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
@@ -40,9 +34,7 @@ TEST_P(LoweringOracle, MatchesReferenceFieldForField) {
     reference::ExpectLoweringMatchesReference(
         w.program, w.program.original_schedule(), {});
   }
-  OptimizerOptions opts;
-  opts.max_combination_size = GetParam().max_combination_size;
-  const OptimizationResult r = Optimize(w.program, opts);
+  const OptimizationResult r = Optimize(w.program);
   std::vector<const CoAccess*> q;
   for (int oi : r.best().opportunities) {
     q.push_back(&r.analysis.sharing[static_cast<size_t>(oi)]);
@@ -62,19 +54,17 @@ TEST_P(LoweringOracle, MatchesReferenceFieldForField) {
 INSTANTIATE_TEST_SUITE_P(
     Programs, LoweringOracle,
     ::testing::Values(
-        Case{"addmul", [] { return MakeAddMul(100); }, kNoCap},
+        Case{"addmul", [] { return MakeAddMul(100); }},
         Case{"twomm_a",
-             [] { return MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1000); },
-             kNoCap},
+             [] { return MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1000); }},
         Case{"twomm_b",
-             [] { return MakeTwoMatMul(TwoMatMulConfig::kConfigB, 1000); },
-             kNoCap},
-        Case{"covariance", [] { return MakeCovariance(1000); }, 3},
-        Case{"ridge", [] { return MakeRidge(100); }, 1},
-        Case{"linreg", [] { return MakeLinReg(100); }, 2},
-        Case{"chain", [] { return MakeElementwiseChain(1000); }, kNoCap},
-        Case{"example1", [] { return MakeExample1(3, 4, 2); }, kNoCap},
-        Case{"joinfilter", [] { return MakeJoinFilter(4, 4); }, kNoCap}),
+             [] { return MakeTwoMatMul(TwoMatMulConfig::kConfigB, 1000); }},
+        Case{"covariance", [] { return MakeCovariance(1000); }},
+        Case{"ridge", [] { return MakeRidge(100); }},
+        Case{"linreg", [] { return MakeLinReg(100); }},
+        Case{"chain", [] { return MakeElementwiseChain(1000); }},
+        Case{"example1", [] { return MakeExample1(3, 4, 2); }},
+        Case{"joinfilter", [] { return MakeJoinFilter(4, 4); }}),
     [](const ::testing::TestParamInfo<Case>& info) { return info.param.name; });
 
 }  // namespace

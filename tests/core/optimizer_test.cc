@@ -1,10 +1,12 @@
-// Optimizer (Apriori search, Lemma 2) tests.
+// Optimizer (border search over maximal sharing sets) tests. The Apriori
+// search it replaced is the oracle, in tests/testing/reference_search.h.
 #include "core/optimizer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "core/schedule_solver.h"
 #include "ops/workload.h"
+#include "testing/reference_search.h"
 
 namespace riot {
 namespace {
@@ -24,22 +27,29 @@ TEST(OptimizerTest, PlanZeroIsOriginal) {
   EXPECT_EQ(r.plans[0].cost.read_bytes, r.plans[0].cost.baseline_read_bytes);
 }
 
-TEST(OptimizerTest, AprioriAndExhaustiveAgree) {
-  // Lemma 2 (antimonotonicity) makes Apriori pruning lossless: both modes
-  // must find exactly the same feasible opportunity sets.
+TEST(OptimizerTest, PlansAreTheMaximalFeasibleSets) {
+  // Feasibility is downward closed (Lemma 2), so the border search returns
+  // exactly the maximal sets among every feasible set the Apriori lattice
+  // finds, and each of them holds every feasible set.
   Workload w = MakeExample1(2, 3, 2);
-  OptimizerOptions apriori;
-  apriori.use_apriori = true;
-  OptimizerOptions exhaustive;
-  exhaustive.use_apriori = false;
-  auto ra = Optimize(w.program, apriori);
-  auto re = Optimize(w.program, exhaustive);
-  std::set<std::vector<int>> sa, se;
-  for (const auto& p : ra.plans) sa.insert(p.opportunities);
-  for (const auto& p : re.plans) se.insert(p.opportunities);
-  EXPECT_EQ(sa, se);
-  EXPECT_GE(ra.candidates_pruned, 0);
-  EXPECT_LE(ra.candidates_tested, re.candidates_tested);
+  const OptimizationResult ref = reference::AprioriSearch(w.program);
+  std::set<std::vector<int>> maximal;
+  for (const Plan& p : ref.plans) {
+    bool inside = false;
+    for (const Plan& q : ref.plans) {
+      inside |= q.opportunities.size() > p.opportunities.size() &&
+                std::includes(q.opportunities.begin(), q.opportunities.end(),
+                              p.opportunities.begin(), p.opportunities.end());
+    }
+    if (!inside) maximal.insert(p.opportunities);
+  }
+  const OptimizationResult r = Optimize(w.program);
+  std::set<std::vector<int>> found;
+  for (size_t i = 1; i < r.plans.size(); ++i) {
+    found.insert(r.plans[i].opportunities);
+  }
+  EXPECT_EQ(found, maximal);
+  EXPECT_LT(r.candidates_tested, ref.candidates_tested);
 }
 
 TEST(OptimizerTest, BestPlanRespectsMemoryCap) {
@@ -103,55 +113,64 @@ TEST(OptimizerTest, SavingsComeFromRealizedOpportunities) {
 }
 
 TEST(OptimizerTest, SupersetNeverReadsMoreButMayUseMoreMemory) {
-  // Adding an opportunity to a feasible set only adds savings (union
-  // semantics) at possibly higher memory cost.
+  // Adding opportunities to a feasible set only adds savings (union
+  // semantics), at possibly higher memory cost, whatever the two sets'
+  // schedules: over every pair of nested sets the Apriori lattice finds.
+  // ExpectSearchMatchesReference checks it over the paper programs and the
+  // random corpus one opportunity at a time under one schedule.
   Workload w = MakeExample1(2, 3, 2);
-  auto r = Optimize(w.program);
-  std::map<std::vector<int>, const Plan*> by_set;
-  for (const auto& p : r.plans) by_set[p.opportunities] = &p;
-  for (const auto& [set, plan] : by_set) {
-    for (const auto& [superset, splan] : by_set) {
-      if (superset.size() != set.size() + 1) continue;
-      if (!std::includes(superset.begin(), superset.end(), set.begin(),
-                         set.end())) {
+  const OptimizationResult ref = reference::AprioriSearch(w.program);
+  int64_t pairs = 0;
+  for (const Plan& p : ref.plans) {
+    for (const Plan& sup : ref.plans) {
+      if (sup.opportunities.size() <= p.opportunities.size() ||
+          !std::includes(sup.opportunities.begin(), sup.opportunities.end(),
+                         p.opportunities.begin(), p.opportunities.end())) {
         continue;
       }
-      EXPECT_LE(splan->cost.TotalBytes(), plan->cost.TotalBytes())
+      ++pairs;
+      EXPECT_LE(sup.cost.TotalBytes(), p.cost.TotalBytes())
           << "superset lost savings";
     }
   }
+  EXPECT_GT(pairs, 0);
 }
 
-TEST(OptimizerTest, MaxCombinationSizeCapsSearch) {
-  // The cap bounds the sets FindSchedule tests; closure plans, which carry
-  // what a found schedule realizes, may be larger.
+TEST(OptimizerTest, MaxCombinationSizeAboveZeroIsIgnored) {
+  // The search is exact, so a size cap has nothing left to bound: only 0
+  // (the original plan alone) is read.
   Workload w = MakeExample1(2, 3, 2);
-  OptimizerOptions opts;
-  opts.max_combination_size = 1;
-  auto r = Optimize(w.program, opts);
-  EXPECT_EQ(r.candidates_tested,
-            static_cast<int64_t>(r.analysis.sharing.size()));
-  for (const auto& p : r.plans) {
-    if (p.closure_of < 0) EXPECT_LE(p.opportunities.size(), 1u);
+  OptimizerOptions capped;
+  capped.max_combination_size = 1;
+  const OptimizationResult r = Optimize(w.program, capped);
+  const OptimizationResult uncapped = Optimize(w.program);
+  ASSERT_EQ(r.plans.size(), uncapped.plans.size());
+  for (size_t i = 0; i < r.plans.size(); ++i) {
+    EXPECT_EQ(r.plans[i].opportunities, uncapped.plans[i].opportunities);
   }
+  EXPECT_EQ(r.best_index, uncapped.best_index);
+  EXPECT_EQ(r.candidates_tested, uncapped.candidates_tested);
 }
 
 TEST(OptimizerTest, StatsArePopulated) {
   Workload w = MakeExample1(2, 3, 2);
   OptimizerOptions opts;
-  opts.max_combination_size = 1;
+  opts.num_threads = 1;
   auto r = Optimize(w.program, opts);
   EXPECT_GT(r.candidates_tested, 0);
   EXPECT_GT(r.schedules_found, 0);
-  EXPECT_GT(r.closure_plans, 0);
-  EXPECT_EQ(r.closures_dropped, 0);
-  EXPECT_GT(r.realizes_calls, 0);
+  EXPECT_LE(r.schedules_found, r.candidates_tested);
+  EXPECT_GT(r.certified_skips, 0);
+  EXPECT_EQ(r.candidates_pruned, r.certified_skips + r.infeasible_skips);
+  EXPECT_EQ(r.speculative_calls, 0);  // nothing runs ahead at one thread
+  EXPECT_GT(r.cliques, 0);
+  EXPECT_GT(r.lp_calls, 0);
   EXPECT_GT(r.optimize_seconds, 0.0);
   EXPECT_GT(r.find_schedule_seconds, 0.0);
-  EXPECT_GT(r.closure_seconds, 0.0);
   EXPECT_GT(r.costing_seconds, 0.0);
-  EXPECT_EQ(1 + r.schedules_found + r.closure_plans,
-            static_cast<int64_t>(r.plans.size()));
+  // Plan 0 and one plan per maximal closure, each from a found schedule.
+  EXPECT_GT(r.plans.size(), 1u);
+  EXPECT_LE(static_cast<int64_t>(r.plans.size()), 1 + r.schedules_found);
 }
 
 // The opportunities `solver` accepts under `sched`.
@@ -165,56 +184,27 @@ std::vector<int> RealizedSet(const ScheduleSolver& solver,
   return out;
 }
 
-TEST(OptimizerTest, ClosurePlansCarryWhatTheirSchedulesRealize) {
-  // Under a cap, a found schedule realizes more than the set it was found
-  // for. Its closure plan is that schedule with every opportunity Realizes
-  // accepts: appended after every found plan, only when strictly larger,
-  // and once per opportunity set.
-  for (size_t cap : {size_t{1}, size_t{2}}) {
-    SCOPED_TRACE("cap " + std::to_string(cap));
-    Workload w = MakeExample1(2, 3, 2);
-    OptimizerOptions opts;
-    opts.max_combination_size = cap;
-    auto r = Optimize(w.program, opts);
+TEST(OptimizerTest, PlansCarryWhatTheirSchedulesRealize) {
+  // With no cap, every plan after plan 0 is a found schedule with all it
+  // realizes as its set, and no plan's set holds another's.
+  for (Workload w : {MakeExample1(2, 3, 2), MakeAddMul(100),
+                     MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1000)}) {
+    auto r = Optimize(w.program);
     ScheduleSolver solver(w.program, r.analysis.dependences);
-    const size_t first_closure = 1 + static_cast<size_t>(r.schedules_found);
-    std::set<std::vector<int>> sets;
-    int64_t closures = 0;
-    for (size_t i = 0; i < r.plans.size(); ++i) {
+    ASSERT_GT(r.plans.size(), 1u);
+    for (size_t i = 1; i < r.plans.size(); ++i) {
       const Plan& p = r.plans[i];
-      EXPECT_TRUE(sets.insert(p.opportunities).second) << "duplicate set";
-      EXPECT_EQ(p.closure_of >= 0, i >= first_closure) << "plan " << i;
-      if (p.closure_of < 0) continue;
-      ++closures;
-      ASSERT_GT(p.closure_of, 0);  // plan 0 gets no closure
-      ASSERT_LT(static_cast<size_t>(p.closure_of), first_closure);
-      const Plan& found = r.plans[static_cast<size_t>(p.closure_of)];
-      EXPECT_EQ(p.schedule.ToString(), found.schedule.ToString());
-      EXPECT_GT(p.opportunities.size(), found.opportunities.size());
-      EXPECT_TRUE(std::includes(p.opportunities.begin(),
-                                p.opportunities.end(),
-                                found.opportunities.begin(),
-                                found.opportunities.end()));
-      for (int oi : p.opportunities) {
-        EXPECT_TRUE(solver.Realizes(
-            p.schedule, r.analysis.sharing[static_cast<size_t>(oi)]));
-      }
+      EXPECT_TRUE(solver.IsLegal(p.schedule)) << "plan " << i;
       EXPECT_EQ(p.opportunities,
-                RealizedSet(solver, p.schedule, r.analysis.sharing));
-      EXPECT_LE(p.cost.TotalBytes(), found.cost.TotalBytes());
-    }
-    EXPECT_EQ(closures, r.closure_plans);
-    EXPECT_GT(closures, 0);
-    // Every found schedule that realizes more than its set has that larger
-    // set among the plans (its closure, or a plan the search found).
-    for (size_t i = 1; i < first_closure; ++i) {
-      const Plan& p = r.plans[i];
-      const std::vector<int> realized =
-          RealizedSet(solver, p.schedule, r.analysis.sharing);
-      if (realized.size() > p.opportunities.size()) {
-        EXPECT_TRUE(sets.count(realized)) << "plan " << i;
-      } else {
-        EXPECT_EQ(realized, p.opportunities);
+                RealizedSet(solver, p.schedule, r.analysis.sharing))
+          << "plan " << i;
+      for (size_t j = 1; j < r.plans.size(); ++j) {
+        const Plan& q = r.plans[j];
+        EXPECT_FALSE(j != i && std::includes(q.opportunities.begin(),
+                                             q.opportunities.end(),
+                                             p.opportunities.begin(),
+                                             p.opportunities.end()))
+            << "plan " << i << " inside plan " << j;
       }
     }
   }
@@ -228,63 +218,89 @@ TEST(OptimizerTest, CapZeroIsTheOriginalPlanOnly) {
   ASSERT_EQ(r.plans.size(), 1u);
   EXPECT_TRUE(r.plans[0].opportunities.empty());
   EXPECT_EQ(r.candidates_tested, 0);
-  EXPECT_EQ(r.closure_plans, 0);
-  EXPECT_EQ(r.realizes_calls, 0);
+  EXPECT_EQ(r.lp_calls, 0);
 }
 
-TEST(OptimizerTest, ClosuresIdenticalAcrossThreadCounts) {
-  Workload w = MakeExample1(2, 3, 2);
-  OptimizerOptions serial;
-  serial.num_threads = 1;
-  serial.max_combination_size = 1;
-  OptimizerOptions parallel = serial;
-  parallel.num_threads = 8;
-  auto rs = Optimize(w.program, serial);
-  auto rp = Optimize(w.program, parallel);
-  ASSERT_EQ(rs.plans.size(), rp.plans.size());
-  EXPECT_GT(rs.closure_plans, 0);
-  for (size_t i = 0; i < rs.plans.size(); ++i) {
-    EXPECT_EQ(rs.plans[i].opportunities, rp.plans[i].opportunities);
-    EXPECT_EQ(rs.plans[i].closure_of, rp.plans[i].closure_of);
-    EXPECT_EQ(rs.plans[i].cost.TotalBytes(), rp.plans[i].cost.TotalBytes());
+TEST(OptimizerTest, SearchIdenticalAcrossThreadCounts) {
+  // Sets are decided as if one at a time, so plans, choice and counts are
+  // the same at 1 and 8 threads, with and without a memory cap; only the
+  // speculative calls the extra workers make and discard differ.
+  for (Workload w : {MakeExample1(3, 4, 2), MakeCovariance(1000),
+                     MakeTwoMatMul(TwoMatMulConfig::kConfigB, 1000)}) {
+    OptimizerOptions serial;
+    serial.num_threads = 1;
+    const int64_t peak =
+        Optimize(w.program, serial).best().cost.peak_memory_bytes;
+    for (int64_t cap : {std::numeric_limits<int64_t>::max(), peak * 3 / 4}) {
+      serial.memory_cap_bytes = cap;
+      OptimizerOptions parallel = serial;
+      parallel.num_threads = 8;
+      auto rs = Optimize(w.program, serial);
+      auto rp = Optimize(w.program, parallel);
+      ASSERT_EQ(rs.plans.size(), rp.plans.size());
+      for (size_t i = 0; i < rs.plans.size(); ++i) {
+        EXPECT_EQ(rs.plans[i].opportunities, rp.plans[i].opportunities);
+        EXPECT_EQ(rs.plans[i].schedule.ToString(),
+                  rp.plans[i].schedule.ToString());
+        EXPECT_EQ(rs.plans[i].cost.TotalBytes(),
+                  rp.plans[i].cost.TotalBytes());
+        EXPECT_EQ(rs.plans[i].cost.peak_memory_bytes,
+                  rp.plans[i].cost.peak_memory_bytes);
+      }
+      EXPECT_EQ(rs.best_index, rp.best_index);
+      EXPECT_EQ(rs.candidates_tested, rp.candidates_tested);
+      EXPECT_EQ(rs.certified_skips, rp.certified_skips);
+      EXPECT_EQ(rs.infeasible_skips, rp.infeasible_skips);
+      EXPECT_EQ(rs.schedules_found, rp.schedules_found);
+      EXPECT_EQ(rs.cliques, rp.cliques);
+    }
   }
-  EXPECT_EQ(rs.best_index, rp.best_index);
 }
 
 TEST(OptimizerTest, PaperProgramsChooseExpectedPlans) {
-  // Uncapped, every closure set is one the search finds itself, so addmul,
-  // twomm_a and covariance keep their found best plan: the (schedule, Q)
-  // they chose before closure plans existed, as closures are appended
-  // after every found plan and win only when strictly cheaper. Linreg
-  // under perfbench's cap of 2 gains a closure plan that does 128 block
-  // reads and 30 writes where its best found plan does 225 and 102.
+  // With no cap every program gets its exhaustive optimum, linreg and ridge
+  // included, in a few dozen FindSchedule calls.
   struct Case {
     const char* name;
     Workload w;
-    size_t cap;
     int64_t reads, writes;
-    bool closure;
   };
   std::vector<Case> cases;
-  cases.push_back({"addmul", MakeAddMul(1), SIZE_MAX, 432, 12, false});
+  cases.push_back({"addmul", MakeAddMul(1), 432, 12});
   cases.push_back({"twomm_a", MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1),
-                   SIZE_MAX, 1080, 120, false});
-  cases.push_back({"covariance", MakeCovariance(1), SIZE_MAX, 32, 1, false});
-  cases.push_back({"linreg", MakeLinReg(1), 2, 128, 30, true});
+                   1080, 120});
+  cases.push_back({"twomm_b", MakeTwoMatMul(TwoMatMulConfig::kConfigB, 1),
+                   1200, 864});
+  cases.push_back({"covariance", MakeCovariance(1), 32, 1});
+  cases.push_back({"ridge", MakeRidge(1), 32, 2});
+  cases.push_back({"linreg", MakeLinReg(1), 100, 5});
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    OptimizerOptions opts;
-    opts.max_combination_size = c.cap;
-    auto r = Optimize(c.w.program, opts);
-    const Plan& best = r.best();
-    EXPECT_EQ(best.closure_of >= 0, c.closure);
-    EXPECT_EQ(best.cost.block_reads, c.reads);
-    EXPECT_EQ(best.cost.block_writes, c.writes);
-    if (c.closure) {
-      // The closure's found plan is the best found plan no longer.
-      const Plan& found = r.plans[static_cast<size_t>(best.closure_of)];
-      EXPECT_LT(best.cost.TotalSeconds(), found.cost.TotalSeconds());
-    }
+    auto r = Optimize(c.w.program);
+    EXPECT_EQ(r.best().cost.block_reads, c.reads);
+    EXPECT_EQ(r.best().cost.block_writes, c.writes);
+    EXPECT_LE(r.candidates_tested, 64);
+  }
+}
+
+TEST(OptimizerTest, MatchesAprioriOracleOnPaperPrograms) {
+  // Exhaustive search on ridge and linreg takes minutes; they are checked
+  // in tests/core/search_stress_test.cc.
+  struct Case {
+    const char* name;
+    Workload w;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"addmul", MakeAddMul(100)});
+  cases.push_back({"twomm_a", MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1000)});
+  cases.push_back({"twomm_b", MakeTwoMatMul(TwoMatMulConfig::kConfigB, 1000)});
+  cases.push_back({"covariance", MakeCovariance(1000)});
+  cases.push_back({"chain", MakeElementwiseChain(1000)});
+  cases.push_back({"example1", MakeExample1(3, 4, 2)});
+  cases.push_back({"joinfilter", MakeJoinFilter(4, 4)});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    reference::ExpectSearchMatchesReference(c.w.program);
   }
 }
 
@@ -306,7 +322,6 @@ TEST(OptimizerTest, AblationNoMultiplicityReductionStillSound) {
   Workload w = MakeExample1(2, 2, 2);
   OptimizerOptions opts;
   opts.analysis.multiplicity_reduction = false;
-  opts.max_combination_size = 2;  // keep the blowup in check
   auto r = Optimize(w.program, opts);
   // Plans still legal: best never worse than original.
   EXPECT_LE(r.best().cost.io_seconds, r.plans[0].cost.io_seconds);

@@ -50,6 +50,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/env.h"
 #include "testing/reference_lowering.h"
+#include "testing/reference_search.h"
 
 namespace riot {
 namespace {
@@ -183,9 +184,11 @@ TEST_P(RandomProgramTest, AllPlansExactAndEquivalent) {
   GeneratedProgram g = Generate(GetParam());
   ASSERT_TRUE(g.program.Validate().ok());
 
-  OptimizerOptions opts;
-  opts.max_combination_size = 2;  // keeps the fuzz sweep fast
-  OptimizationResult r = Optimize(g.program, opts);
+  // Every plan the Apriori oracle finds at a combination cap of 2 (found
+  // and closure plans), then the border search's best plan: many realized
+  // sets per program, and the one the optimizer chooses.
+  OptimizationResult r = reference::AprioriSearch(g.program, 2);
+  r.plans.push_back(Optimize(g.program).best());
 
   // The static linter must accept every generated program (zero false
   // positives over the fuzz corpus); mutation coverage for true positives
@@ -258,6 +261,30 @@ uint64_t FuzzSeedCount() {
   }
   return 200;
 }
+
+// The border search against the Apriori oracle over the corpus: the same
+// best plan I/O with no cap, and the monotone, schedule-independent I/O the
+// search relies on. Every fifth program also checks the caps (each cap is a
+// whole search again). On a few corpus programs FindSchedule takes seconds
+// per call, and the oracle tests every feasible set, so the first 50
+// programs run in tier-1 and the whole corpus in the stress label.
+class SearchOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SearchOracleTest, MatchesAprioriOracle) {
+  GeneratedProgram g = Generate(GetParam());
+  ASSERT_TRUE(g.program.Validate().ok());
+  if (GetParam() % 5 == 0) {
+    reference::ExpectSearchMatchesReference(g.program);
+  } else {
+    reference::ExpectSearchMatchesReference(g.program, /*cap_factors=*/{});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Smoke, SearchOracleTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{51}));
+INSTANTIATE_TEST_SUITE_P(Full, SearchOracleTest,
+                         ::testing::Range(uint64_t{1},
+                                          uint64_t{1} + FuzzSeedCount()));
 
 // Brute-force oracle for BuildInstanceDag: (a) completeness — every
 // instance pair sharing a block with at least one kernel write, and every
@@ -343,7 +370,7 @@ void ExpectOutputsEqual(const GeneratedProgram& g, const Runtime& want,
 // no sharing; when the solver finds one, a schedule realizing up to two
 // sharing opportunities, which exercises saved reads, retention, and
 // elision; and, when that schedule realizes more than it was found for,
-// its closure plan (core/optimizer.h): the same schedule exploiting every
+// its closure (core/optimizer.h): the same schedule exploiting every
 // opportunity it realizes. (Direct analysis + solver instead of the full
 // optimizer: an oracle needs a few realized plans per program, not the
 // whole plan space.)
@@ -1498,9 +1525,7 @@ TEST_P(ExprFuzzTest, LoweredExecutionMatchesNaiveEvaluatorBitForBit) {
     const Program& prog = lo->program;
     ASSERT_TRUE(prog.Validate().ok());
 
-    OptimizerOptions opts;
-    opts.max_combination_size = 2;
-    OptimizationResult r = Optimize(prog, opts);
+    OptimizationResult r = Optimize(prog);
     const Plan* plan_cases[] = {&r.plans[0], &r.best()};
     for (const Plan* plan : plan_cases) {
       std::vector<const CoAccess*> q;

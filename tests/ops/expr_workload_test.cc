@@ -237,8 +237,7 @@ RunResult RunPlanOn(const Workload& w, Env* env, const std::string& dir,
   return RunResult{*stats, std::move(rt).ValueOrDie()};
 }
 
-void ExpectSamePlansAndBits(const Workload& modern, const Workload& legacy,
-                            const OptimizerOptions& opts) {
+void ExpectSamePlansAndBits(const Workload& modern, const Workload& legacy) {
   // Array layout identical: ids, names, shapes, persistence. This is what
   // makes InitInputs (seeded by array id) byte-identical across variants.
   ASSERT_EQ(modern.program.arrays().size(), legacy.program.arrays().size());
@@ -253,8 +252,8 @@ void ExpectSamePlansAndBits(const Workload& modern, const Workload& legacy,
   ASSERT_EQ(modern.input_arrays, legacy.input_arrays);
   ASSERT_EQ(modern.output_arrays, legacy.output_arrays);
 
-  OptimizationResult rm = Optimize(modern.program, opts);
-  OptimizationResult rl = Optimize(legacy.program, opts);
+  OptimizationResult rm = Optimize(modern.program);
+  OptimizationResult rl = Optimize(legacy.program);
 
   // Identical plan spaces: same count, same sharing labels, and the same
   // best-plan cost triple.
@@ -299,14 +298,12 @@ void ExpectSamePlansAndBits(const Workload& modern, const Workload& legacy,
 
 TEST(ExprWorkloadTest, TwoMatMulMatchesLegacyHandBuiltExactly) {
   ExpectSamePlansAndBits(MakeTwoMatMul(TwoMatMulConfig::kConfigA, 1000),
-                         LegacyTwoMatMulA(1000), OptimizerOptions{});
+                         LegacyTwoMatMulA(1000));
 }
 
 TEST(ExprWorkloadTest, LinRegMatchesLegacyHandBuiltExactly) {
-  OptimizerOptions opts;
-  opts.max_combination_size = 2;  // keep the 7-statement search fast
   // 400: the largest scale dividing every linreg dimension (Y has 400 cols).
-  ExpectSamePlansAndBits(MakeLinReg(400), LegacyLinReg(400), opts);
+  ExpectSamePlansAndBits(MakeLinReg(400), LegacyLinReg(400));
 }
 
 // --------------------------------------------------------------------------
@@ -326,9 +323,7 @@ TEST(ExprWorkloadTest, RidgeSharesGramMatrixAndElidesScratchWrites) {
   }
   EXPECT_EQ(contractions, 2);  // X'X and X'y, each exactly once
 
-  OptimizerOptions opts;
-  opts.max_combination_size = 3;
-  OptimizationResult r = Optimize(w.program, opts);
+  OptimizationResult r = Optimize(w.program);
   ASSERT_GT(r.plans.size(), 1u);
   // Scratch temporaries (gram, X'y, regularized, inverses) are
   // non-persistent; the best plan elides at least some of their writes.
@@ -400,9 +395,7 @@ TEST(ExprWorkloadTest, CovarianceElidesScratchAndMatchesNaive) {
   }
   EXPECT_EQ(scratch, 3);
 
-  OptimizerOptions opts;
-  opts.max_combination_size = 3;
-  OptimizationResult r = Optimize(w.program, opts);
+  OptimizationResult r = Optimize(w.program);
   EXPECT_LT(r.best().cost.write_bytes, r.plans[0].cost.write_bytes);
 
   auto env = NewMemEnv();
@@ -425,7 +418,7 @@ TEST(ExprWorkloadTest, CovarianceElidesScratchAndMatchesNaive) {
   EXPECT_EQ(uw.program.statements().size(),
             w.program.statements().size() + 1);
   EXPECT_EQ(uscratch, scratch + 1);
-  OptimizationResult ur = Optimize(uw.program, opts);
+  OptimizationResult ur = Optimize(uw.program);
   RunResult uorig = RunPlanOn(uw, env.get(), "/c_unf", ur.plans[0], ur);
   EXPECT_LT(orig.stats.block_reads, uorig.stats.block_reads);
   const int ucov_arr = uw.output_arrays[0];

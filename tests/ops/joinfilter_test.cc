@@ -12,6 +12,7 @@
 #include "ops/runtime.h"
 #include "ops/workload.h"
 #include "storage/env.h"
+#include "testing/reference_search.h"
 
 namespace riot {
 namespace {
@@ -91,8 +92,11 @@ TEST(JoinFilterTest, JoinCountsMatchBruteForce) {
 }
 
 TEST(JoinFilterTest, OptimizedPlansEquivalentAndExact) {
+  // Every feasible set's plan (the Apriori oracle's), then the plan the
+  // optimizer chooses.
   Workload w = MakeJoinFilter(3, 3);
-  OptimizationResult r = Optimize(w.program);
+  OptimizationResult r = reference::AprioriSearch(w.program);
+  r.plans.push_back(Optimize(w.program).best());
   EXPECT_GE(r.plans.size(), 4u);
   auto env = NewMemEnv();
   auto ref = OpenStores(env.get(), w.program, "/ref");

@@ -42,9 +42,7 @@ struct Variant {
 
 void BuildVariant(Variant* v, Env* env, const std::string& tag,
                   uint64_t seed) {
-  OptimizerOptions oo;
-  oo.max_combination_size = 2;
-  v->opt = Optimize(v->w.program, oo);
+  v->opt = Optimize(v->w.program);
 
   auto plan_of = [&](const Plan& p) {
     PlanUnderTest put;

@@ -141,9 +141,7 @@ size_t LintOneProgram(const std::string& label, const Program& program,
               << "\n";
     return prog_report->diags.size();  // plans would lower a broken program
   }
-  OptimizerOptions opts;
-  opts.max_combination_size = 2;
-  OptimizationResult r = Optimize(program, opts);
+  OptimizationResult r = Optimize(program);
   for (size_t pi = 0; pi < r.plans.size(); ++pi) {
     const Plan& plan = r.plans[pi];
     std::vector<const CoAccess*> q;
