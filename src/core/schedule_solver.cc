@@ -261,27 +261,42 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
     }
 
     // Sample an integer row (line 44), honoring nonzero groups via DFS.
+    IlpOptions io;
+    io.var_bound = opts_.coeff_bound;
+    // Constants may legitimately be as large as the sum of all loop
+    // trip counts (sequential composition of nests in one time dim).
+    int64_t const_bound = 2;
+    for (const auto& st : prog_.statements()) {
+      for (size_t dd = 0; dd < st.depth(); ++dd) {
+        auto bb = st.domain.IntegerVarBounds(dd);
+        if (bb) const_bound += (bb->second - bb->first + 1);
+      }
+    }
+    io.var_bounds.assign(layout.dim, opts_.coeff_bound);
+    for (size_t i = 0; i < n; ++i) {
+      io.var_bounds[layout.offset[i] + layout.depth[i]] = const_bound;
+    }
+    // The ILP's integer point lies in its box |x_v| <= var_bounds[v], so a
+    // branch whose relaxation is empty inside the box holds no point: the
+    // DFS drops it with one LP instead of an ILP per leaf below it.
+    auto boxed_feasible = [&](const std::vector<LpConstraint>& cs) {
+      std::vector<LpConstraint> sys = cs;
+      for (size_t v = 0; v < layout.dim; ++v) {
+        RVector c(layout.dim);
+        c[v] = Rational(1);
+        sys.push_back({c, CmpOp::kLe, Rational(io.var_bounds[v])});
+        sys.push_back({std::move(c), CmpOp::kGe, Rational(-io.var_bounds[v])});
+      }
+      return feasible(sys);
+    };
     std::function<std::optional<std::vector<int64_t>>(
         std::vector<LpConstraint>&, size_t)>
         sample = [&](std::vector<LpConstraint>& cs,
                      size_t gi) -> std::optional<std::vector<int64_t>> {
       if (gi == nonzero_groups.size()) {
+        // With no nonzero groups no branch checked the box yet.
+        if (gi == 0 && !boxed_feasible(cs)) return std::nullopt;
         ++stats_.ilp_calls;
-        IlpOptions io;
-        io.var_bound = opts_.coeff_bound;
-        // Constants may legitimately be as large as the sum of all loop
-        // trip counts (sequential composition of nests in one time dim).
-        int64_t const_bound = 2;
-        for (const auto& st : prog_.statements()) {
-          for (size_t dd = 0; dd < st.depth(); ++dd) {
-            auto bb = st.domain.IntegerVarBounds(dd);
-            if (bb) const_bound += (bb->second - bb->first + 1);
-          }
-        }
-        io.var_bounds.assign(layout.dim, opts_.coeff_bound);
-        for (size_t i = 0; i < n; ++i) {
-          io.var_bounds[layout.offset[i] + layout.depth[i]] = const_bound;
-        }
         return FindIntegerPoint(layout.dim, cs, /*minimize_l1=*/true, io);
       }
       for (size_t v : nonzero_groups[gi]) {
@@ -290,7 +305,7 @@ std::optional<Schedule> ScheduleSolver::FindSchedule(
           c[v] = Rational(1);
           cs.push_back({std::move(c), sign > 0 ? CmpOp::kGe : CmpOp::kLe,
                         Rational(sign)});
-          if (feasible(cs)) {
+          if (boxed_feasible(cs)) {
             auto r = sample(cs, gi + 1);
             if (r) return r;
           }

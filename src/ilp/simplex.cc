@@ -14,10 +14,13 @@ namespace {
 // streak, hard pivot budget across both phases.
 class Tableau {
  public:
-  // A: m x n, b: m (must be >= 0), c: n.
-  Tableau(RMatrix a, RVector b, RVector c, const LpOptions& options)
-      : m_(a.rows()), n_(a.cols()), a_(std::move(a)), b_(std::move(b)),
-        c_(std::move(c)), basis_(m_), opts_(options) {}
+  // a: m x (n + m), whose first n columns hold A and whose last m columns
+  // are left for the phase-I artificials; b: m (must be >= 0), c: n.
+  Tableau(RMatrix a, size_t n, RVector b, RVector c, const LpOptions& options)
+      : m_(a.rows()), n_(n), cols_(a.cols()), a_(std::move(a)),
+        b_(std::move(b)), c_(std::move(c)), basis_(m_), opts_(options) {
+    RIOT_DCHECK(cols_ == n_ + m_);
+  }
 
   /// The pivot budget ran out; any PhaseI/PhaseII answer is unreliable.
   bool budget_exhausted() const { return budget_exhausted_; }
@@ -26,14 +29,10 @@ class Tableau {
   // Phase I: add m artificial variables with identity columns; minimize
   // their sum. Returns false if infeasible.
   bool PhaseI() {
-    // Extend tableau with artificials.
-    RMatrix ext(m_, n_ + m_);
     for (size_t i = 0; i < m_; ++i) {
-      for (size_t j = 0; j < n_; ++j) ext.At(i, j) = a_.At(i, j);
-      ext.At(i, n_ + i) = Rational(1);
+      a_.At(i, n_ + i) = Rational(1);
       basis_[i] = n_ + i;
     }
-    a_ = std::move(ext);
     // Phase-I objective: maximize -(sum of artificials).
     RVector pc(n_ + m_);
     for (size_t j = 0; j < m_; ++j) pc[n_ + j] = Rational(-1);
@@ -56,13 +55,10 @@ class Tableau {
         RIOT_DCHECK(b_[i].IsZero());
       }
     }
-    // Drop artificial columns.
-    RMatrix shrunk(m_, n_);
-    for (size_t i = 0; i < m_; ++i)
-      for (size_t j = 0; j < n_; ++j) shrunk.At(i, j) = a_.At(i, j);
-    a_ = std::move(shrunk);
-    // Any basis entry still pointing at an artificial marks a zero row; map
-    // it to an invalid sentinel handled in PhaseII/solution extraction.
+    // Drop the artificial columns: from here on only the first n columns
+    // are priced and updated. Any basis entry still pointing at an
+    // artificial marks a zero row, removed in PhaseII.
+    cols_ = n_;
     return true;
   }
 
@@ -109,7 +105,7 @@ class Tableau {
   Rational RunSimplex(const RVector& obj) {
     bool bland = false;       // switched on after a degenerate streak
     int64_t degen_streak = 0;
-    const size_t ncols = a_.cols();
+    const size_t ncols = cols_;
     // rc_j = c_j - c_B^T B^-1 A_j; computed once, then pivot-maintained.
     rc_ = RVector(ncols);
     obj_val_ = Rational(0);
@@ -188,14 +184,19 @@ class Tableau {
     Rational p = a_.At(row, col);
     RIOT_DCHECK(!p.IsZero());
     Rational inv = Rational(1) / p;
-    for (size_t j = 0; j < a_.cols(); ++j) a_.At(row, j) *= inv;
+    // The pivot row is mostly zeros; every update below touches only its
+    // nonzero columns.
+    nonzero_.clear();
+    for (size_t j = 0; j < cols_; ++j) {
+      if (a_.At(row, j).IsZero()) continue;
+      a_.At(row, j) *= inv;
+      nonzero_.push_back(j);
+    }
     b_[row] *= inv;
     for (size_t i = 0; i < m_; ++i) {
       if (i == row || a_.At(i, col).IsZero()) continue;
       Rational f = a_.At(i, col);
-      for (size_t j = 0; j < a_.cols(); ++j) {
-        if (!a_.At(row, j).IsZero()) a_.At(i, j) -= f * a_.At(row, j);
-      }
+      for (size_t j : nonzero_) a_.At(i, j) -= f * a_.At(row, j);
       b_[i] -= f * b_[row];
     }
     // Maintain the reduced-cost row and objective value.
@@ -205,19 +206,19 @@ class Tableau {
     }
     Rational f = rc_[col];
     if (!f.IsZero()) {
-      for (size_t j = 0; j < a_.cols(); ++j) {
-        if (!a_.At(row, j).IsZero()) rc_[j] -= f * a_.At(row, j);
-      }
+      for (size_t j : nonzero_) rc_[j] -= f * a_.At(row, j);
       obj_val_ += f * b_[row];
     }
     basis_[row] = col;
   }
 
   size_t m_, n_;
+  size_t cols_;  // columns priced and updated: n + m in phase I, then n
   RMatrix a_;
   RVector b_;
   RVector c_;
   RVector rc_;  // reduced-cost row of the active objective
+  std::vector<size_t> nonzero_;  // nonzero columns of the last pivot row
   Rational obj_val_;
   std::vector<size_t> basis_;
   LpOptions opts_;
@@ -241,7 +242,7 @@ Result<LpSolution> SolveLp(size_t num_vars,
     if (c.op != CmpOp::kEq) ++num_slacks;
   }
   const size_t ncols = nsf + num_slacks;
-  RMatrix a(cons.size(), ncols);
+  RMatrix a(cons.size(), ncols + cons.size());  // + phase-I artificials
   RVector b(cons.size());
   size_t slack = 0;
   for (size_t i = 0; i < cons.size(); ++i) {
@@ -269,7 +270,7 @@ Result<LpSolution> SolveLp(size_t num_vars,
     c_sf[2 * v + 1] = -objective[v];
   }
 
-  Tableau t(std::move(a), std::move(b), std::move(c_sf), options);
+  Tableau t(std::move(a), ncols, std::move(b), std::move(c_sf), options);
   LpSolution sol;
   const bool phase1_feasible = t.PhaseI();
   if (t.budget_exhausted()) {

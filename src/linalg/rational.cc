@@ -7,9 +7,6 @@
 namespace riot {
 
 namespace {
-// Bound chosen so that products of two in-range values stay within __int128.
-const int128 kRangeLimit = (int128(1) << 62);
-
 std::string Int128ToString(int128 v) {
   if (v == 0) return "0";
   bool neg = v < 0;
@@ -24,39 +21,55 @@ std::string Int128ToString(int128 v) {
   std::reverse(s.begin(), s.end());
   return s;
 }
-}  // namespace
-
-void Rational::CheckRange(int128 v) {
-  RIOT_CHECK(v < kRangeLimit && v > -kRangeLimit)
-      << "rational overflow; value magnitude exceeds 2^62";
+// a / b, in 64 bits when both fit (128-bit division is a library call).
+int128 Quotient(int128 a, int128 b) {
+  if (a <= INT64_MAX && a >= -INT64_MAX && b <= INT64_MAX && b >= -INT64_MAX) {
+    return static_cast<int64_t>(a) / static_cast<int64_t>(b);
+  }
+  return a / b;
 }
+}  // namespace
 
 int128 Rational::Gcd(int128 a, int128 b) {
   if (a < 0) a = -a;
   if (b < 0) b = -b;
-  while (b != 0) {
+  // 128-bit remainders are library calls; finish in 64 bits once both fit.
+  while (b != 0 && (a > INT64_MAX || b > INT64_MAX)) {
     int128 t = a % b;
     a = b;
     b = t;
   }
-  return a;
+  if (b == 0) return a;
+  uint64_t x = static_cast<uint64_t>(a);
+  uint64_t y = static_cast<uint64_t>(b);
+  while (y != 0) {
+    uint64_t t = x % y;
+    x = y;
+    y = t;
+  }
+  return x;
 }
 
-void Rational::Normalize() {
-  RIOT_CHECK(den_ != 0) << "zero denominator";
-  if (den_ < 0) {
-    num_ = -num_;
-    den_ = -den_;
+void Rational::Assign(int128 n, int128 d) {
+  RIOT_CHECK(d != 0) << "zero denominator";
+  if (d < 0) {
+    n = -n;
+    d = -d;
   }
-  if (num_ == 0) {
+  if (n == 0) {
+    num_ = 0;
     den_ = 1;
     return;
   }
-  int128 g = Gcd(num_, den_);
-  num_ /= g;
-  den_ /= g;
-  CheckRange(num_);
-  CheckRange(den_);
+  if (d != 1) {
+    int128 g = Gcd(n, d);
+    n = Quotient(n, g);
+    d = Quotient(d, g);
+  }
+  CheckRange(n);
+  CheckRange(d);
+  num_ = static_cast<int64_t>(n);
+  den_ = static_cast<int64_t>(d);
 }
 
 int64_t Rational::Floor() const {
@@ -71,19 +84,19 @@ int64_t Rational::Ceil() const {
   return static_cast<int64_t>(q);
 }
 
-Rational Rational::operator+(const Rational& o) const {
+Rational Rational::AddReduced(int128 o_num, int128 o_den) const {
   // Reduce cross terms first to limit growth.
-  int128 g = Gcd(den_, o.den_);
-  int128 lcm_part = o.den_ / g;
-  return FromInt128(num_ * lcm_part + o.num_ * (den_ / g), den_ * lcm_part);
+  int128 g = Gcd(den_, o_den);
+  int128 lcm_part = Quotient(o_den, g);
+  return FromInt128(num_ * lcm_part + o_num * Quotient(den_, g),
+                    den_ * lcm_part);
 }
 
-Rational Rational::operator-(const Rational& o) const { return *this + (-o); }
-
-Rational Rational::operator*(const Rational& o) const {
+Rational Rational::MultiplyReduced(const Rational& o) const {
   int128 g1 = Gcd(num_, o.den_);
   int128 g2 = Gcd(o.num_, den_);
-  return FromInt128((num_ / g1) * (o.num_ / g2), (den_ / g2) * (o.den_ / g1));
+  return FromInt128(Quotient(num_, g1) * Quotient(o.num_, g2),
+                    Quotient(den_, g2) * Quotient(o.den_, g1));
 }
 
 Rational Rational::operator/(const Rational& o) const {
@@ -93,7 +106,7 @@ Rational Rational::operator/(const Rational& o) const {
 
 bool Rational::operator<(const Rational& o) const {
   // num_/den_ < o.num_/o.den_  <=>  num_*o.den_ < o.num_*den_ (dens > 0).
-  return num_ * o.den_ < o.num_ * den_;
+  return int128{num_} * o.den_ < int128{o.num_} * den_;
 }
 
 std::string Rational::ToString() const {

@@ -1,11 +1,11 @@
-// Exact rational arithmetic on 128-bit integers.
+// Exact rational arithmetic: 64-bit terms, 128-bit intermediates.
 //
 // The optimizer manipulates polyhedra and simplex tableaux whose entries must
 // be exact; floating point would silently corrupt emptiness tests and
-// schedule legality. Numerators/denominators are kept reduced; overflow of
-// the 128-bit range aborts (it indicates a modeling bug, not a data-size
-// issue, since all quantities here are schedule coefficients and small loop
-// bounds).
+// schedule legality. Numerators/denominators are kept reduced; a reduced
+// term of magnitude 2^62 or more aborts (it indicates a modeling bug, not a
+// data-size issue, since all quantities here are schedule coefficients and
+// small loop bounds).
 #ifndef RIOTSHARE_LINALG_RATIONAL_H_
 #define RIOTSHARE_LINALG_RATIONAL_H_
 
@@ -25,13 +25,11 @@ class Rational {
  public:
   Rational() : num_(0), den_(1) {}
   Rational(int64_t n) : num_(n), den_(1) {}  // NOLINT implicit
-  Rational(int64_t n, int64_t d) : num_(n), den_(d) { Normalize(); }
+  Rational(int64_t n, int64_t d) { Assign(n, d); }
 
   static Rational FromInt128(int128 n, int128 d) {
     Rational r;
-    r.num_ = n;
-    r.den_ = d;
-    r.Normalize();
+    r.Assign(n, d);
     return r;
   }
 
@@ -46,8 +44,7 @@ class Rational {
   /// Integer value; requires IsInteger().
   int64_t ToInt64() const {
     RIOT_CHECK(den_ == 1) << "not an integer: " << ToString();
-    RIOT_CHECK(num_ <= INT64_MAX && num_ >= INT64_MIN);
-    return static_cast<int64_t>(num_);
+    return num_;
   }
 
   double ToDouble() const {
@@ -59,10 +56,22 @@ class Rational {
   /// Smallest integer >= this.
   int64_t Ceil() const;
 
-  Rational operator-() const { return FromInt128(-num_, den_); }
-  Rational operator+(const Rational& o) const;
-  Rational operator-(const Rational& o) const;
-  Rational operator*(const Rational& o) const;
+  Rational operator-() const {
+    return FromReduced(-int128{num_}, den_);  // already in lowest terms
+  }
+  // Integer operands (most simplex entries) skip the gcd reductions.
+  Rational operator+(const Rational& o) const {
+    if (den_ == 1 && o.den_ == 1) return FromReduced(int128{num_} + o.num_, 1);
+    return AddReduced(o.num_, o.den_);
+  }
+  Rational operator-(const Rational& o) const {
+    if (den_ == 1 && o.den_ == 1) return FromReduced(int128{num_} - o.num_, 1);
+    return AddReduced(-int128{o.num_}, o.den_);
+  }
+  Rational operator*(const Rational& o) const {
+    if (den_ == 1 && o.den_ == 1) return FromReduced(int128{num_} * o.num_, 1);
+    return MultiplyReduced(o);
+  }
   Rational operator/(const Rational& o) const;
   Rational& operator+=(const Rational& o) { return *this = *this + o; }
   Rational& operator-=(const Rational& o) { return *this = *this - o; }
@@ -83,12 +92,31 @@ class Rational {
   std::string ToString() const;
 
  private:
-  void Normalize();
+  // n/d, already in lowest terms with d > 0; checks only the range.
+  static Rational FromReduced(int128 n, int64_t d) {
+    CheckRange(n);
+    Rational r;
+    r.num_ = static_cast<int64_t>(n);
+    r.den_ = d;
+    return r;
+  }
+  Rational AddReduced(int128 o_num, int128 o_den) const;
+  Rational MultiplyReduced(const Rational& o) const;
+  // Stores n/d reduced, with a positive denominator.
+  void Assign(int128 n, int128 d);
   static int128 Gcd(int128 a, int128 b);
-  static void CheckRange(int128 v);
+  // Bound chosen so that products of two in-range values stay within
+  // __int128.
+  static void CheckRange(int128 v) {
+    constexpr int128 kRangeLimit = int128(1) << 62;
+    RIOT_CHECK(v < kRangeLimit && v > -kRangeLimit)
+        << "rational overflow; value magnitude exceeds 2^62";
+  }
 
-  int128 num_;
-  int128 den_;  // > 0
+  // Held in 64 bits: every reduced value is range-checked below 2^62.
+  // Arithmetic widens to 128 bits, so products never overflow.
+  int64_t num_;
+  int64_t den_;  // > 0
 };
 
 std::ostream& operator<<(std::ostream& os, const Rational& r);

@@ -97,5 +97,25 @@ TEST(RationalTest, LargeValuesNoOverflow) {
   EXPECT_EQ(r / big, Rational(3, 7));
 }
 
+// Reductions whose operands pass 64 bits run the 128-bit gcd steps first
+// and still land in lowest terms.
+TEST(RationalTest, WideOperandsReduce) {
+  const int128 wide = int128{1} << 70;
+  EXPECT_EQ(Rational::FromInt128(3 * wide, 5 * wide), Rational(3, 5));
+  EXPECT_EQ(Rational::FromInt128(-7 * wide, wide), Rational(-7));
+  EXPECT_EQ(Rational::FromInt128(wide + wide, -wide), Rational(-2));
+  Rational a(int64_t{1} << 40, 3);
+  EXPECT_EQ(a * Rational(3, int64_t{1} << 41), Rational(1, 2));
+  EXPECT_EQ(a - Rational(int64_t{1} << 40), Rational(-(int64_t{1} << 41), 3));
+}
+
+// Integer operands take a shortcut past the gcd; the range check stays.
+TEST(RationalDeathTest, IntegerResultPastRangeAborts) {
+  const Rational big(int64_t{1} << 40);
+  EXPECT_DEATH(big * big, "rational overflow");
+  const Rational edge((int64_t{1} << 62) - 1);
+  EXPECT_DEATH(edge + Rational(1), "rational overflow");
+}
+
 }  // namespace
 }  // namespace riot
