@@ -24,9 +24,10 @@ int64_t ExecScale(int64_t def) {
   return def;
 }
 
-Harness::Harness(std::string name, std::function<Workload(int64_t)> factory)
+Harness::Harness(std::string name, std::function<Workload(int64_t)> factory,
+                 int64_t exec_scale)
     : name_(std::move(name)), factory_(std::move(factory)),
-      paper_(factory_(1)), scaled_(factory_(ExecScale())),
+      paper_(factory_(1)), scaled_(factory_(exec_scale)),
       env_(NewPosixEnv()) {
   dir_ = "bench_data_" + name_;
   std::filesystem::create_directories(dir_);
@@ -37,6 +38,13 @@ Harness::Harness(std::string name, std::function<Workload(int64_t)> factory)
 Harness::~Harness() {
   std::error_code ec;
   std::filesystem::remove_all(dir_, ec);
+}
+
+void Harness::UsePaperDisk() {
+  env_.reset();
+  base_env_ = NewMemEnv();
+  env_ = NewThrottledEnv(base_env_.get(), kPaperReadMBps, kPaperWriteMBps,
+                         kPaperRequestMs, /*sleep_scale=*/1.0);
 }
 
 const OptimizationResult& Harness::Optimize(const OptimizerOptions& opts) {
@@ -220,6 +228,7 @@ void BenchJson::Flush() {
       << ", \"bytes_read\": " << s.bytes_read
       << ", \"bytes_written\": " << s.bytes_written
       << ", \"block_reads\": " << s.block_reads
+      << ", \"block_writes\": " << s.block_writes
       << ", \"evictions\": " << s.pool.evictions
       << ", \"dirty_writebacks\": " << s.pool.dirty_writebacks
       << ", \"policy_saved_reads\": " << s.policy_saved_reads

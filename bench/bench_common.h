@@ -23,6 +23,8 @@ int64_t ExecScale(int64_t def = 40);
 /// Paper disk model: sustained 96 MB/s read, 60 MB/s write (Section 6).
 constexpr double kPaperReadMBps = 96.0;
 constexpr double kPaperWriteMBps = 60.0;
+/// Per-request overhead of the paper disk model (perfbench's paper_io).
+constexpr double kPaperRequestMs = 0.05;
 
 struct PlanRun {
   std::string label;
@@ -38,7 +40,8 @@ struct PlanRun {
 /// replacement-policy sweeps) into one JSON file — {"bench": ..., "runs":
 /// [{plan, kind, threads, pipeline_depth, policy, cap_bytes, wall_seconds,
 /// io_seconds, compute_seconds, overlap_seconds, compute_overlap_seconds,
-/// bytes_read, bytes_written, block_reads, evictions, dirty_writebacks,
+/// bytes_read, bytes_written, block_reads, block_writes, evictions,
+/// dirty_writebacks,
 /// policy_saved_reads, prefetch_hits, prefetch_wasted, prefetch_issued,
 /// prefetch_declined, parallel_groups, max_ready_width}, ...]} — so
 /// scripts/bench_json.sh can track wall/overlap/utilization and the
@@ -83,9 +86,17 @@ void RunThreadSweep(const std::string& name,
 
 class Harness {
  public:
-  /// `factory(scale)` builds the workload at the given scale.
-  Harness(std::string name, std::function<Workload(int64_t)> factory);
+  /// `factory(scale)` builds the workload at the given scale; plans run at
+  /// `exec_scale`.
+  Harness(std::string name, std::function<Workload(int64_t)> factory,
+          int64_t exec_scale = ExecScale());
   ~Harness();
+
+  /// Runs later plans on the paper's disk instead of real files: a
+  /// ThrottledEnv over memory at kPaperReadMBps/kPaperWriteMBps plus
+  /// kPaperRequestMs per request, slept for real. Requests overlap, as on
+  /// a disk that serves several at once.
+  void UsePaperDisk();
 
   /// Runs the optimizer on the paper-scale program.
   const OptimizationResult& Optimize(const OptimizerOptions& opts = {});
@@ -121,6 +132,7 @@ class Harness {
   Workload scaled_;
   OptimizationResult result_;
   bool optimized_ = false;
+  std::unique_ptr<Env> base_env_;  // under env_ after UsePaperDisk()
   std::unique_ptr<Env> env_;
   // Reference outputs from the original plan at execution scale.
   bool have_reference_ = false;

@@ -4,7 +4,8 @@
 // usual predicted-vs-measured plan table plus the expression-level facts:
 // CSE hits at graph-construction time and the scratch-write elision the
 // best plan achieves. Each best plan, and twomm_a's, also runs at depth 2
-// under its exact peak and 1.5 x it.
+// under its exact peak and 1.5 x it, and linreg's and chain's as perfbench's
+// paper_io runs them.
 //
 //   --json <path> dumps every run for scripts/bench_json.sh
 //   (BENCH_expr.json).
@@ -96,6 +97,47 @@ void RunTwoMmLookahead(BenchJson* json) {
   RunLookahead(&h, r.best_index, "twomm_a", json);
 }
 
+// linreg's and chain's best plans as perfbench's paper_io runs them: at
+// its scales (linreg 1/100, chain 1/50), depth 2, a cap of 1.5 x the
+// predicted peak, on the paper's disk, slept. linreg prefetches X[k+1]
+// while X[k] is read, and chain's output writes go behind; both are calls
+// on one store that overlap on the disk. Block counts are checked against
+// the cost model by RunPlan.
+void RunPaperIoLookahead(BenchJson* json) {
+  std::printf("=== paper_io best plans: d2, cap 1.5x, paper disk slept ===\n");
+  struct Spec {
+    const char* name;
+    std::function<Workload(int64_t)> factory;
+    int64_t scale;
+  };
+  const Spec specs[] = {
+      {"linreg", MakeLinReg, 100},
+      {"chain", [](int64_t s) { return MakeElementwiseChain(s); }, 50}};
+  std::vector<ExecStats> measured;
+  for (const Spec& spec : specs) {
+    Harness h(spec.name, spec.factory, spec.scale);
+    h.UsePaperDisk();
+    const auto& r = h.Optimize();
+    const PlanRun run = h.RunPlan(r.best_index, "best plan d2 cap 1.5x disk",
+                                  /*pipeline_depth=*/2, /*cap_factor=*/1.5);
+    json->Add(std::string(spec.name) + "/" + run.label, "paper_io",
+              /*threads=*/1, /*pipeline_depth=*/2, run.measured,
+              /*policy=*/"", run.cap_bytes);
+    measured.push_back(run.measured);
+  }
+  std::printf("%-8s %9s %12s %12s %11s %10s\n", "program", "wall(s)",
+              "block_reads", "block_writes", "overlap(s)", "io(s)");
+  for (size_t i = 0; i < measured.size(); ++i) {
+    const ExecStats& m = measured[i];
+    std::printf("%-8s %9.4f %12lld %12lld %11.4f %10.4f\n", specs[i].name,
+                m.wall_seconds, static_cast<long long>(m.block_reads),
+                static_cast<long long>(m.block_writes), m.overlap_seconds,
+                m.io_seconds);
+  }
+  std::printf("(io = time inside store calls, summed over the calls in "
+              "flight at once)\n\n");
+}
+
 // Fusion sweep (ISSUE 10): the 7-op elementwise chain through both
 // lowerings on a paper-rate throttled disk (real sleeps, so wall clock is
 // I/O-bound the way the paper's disk is) under the same memory cap. The
@@ -105,7 +147,7 @@ void RunFusionSweep(BenchJson* json) {
   const int64_t scale = ExecScale();
   auto base = NewMemEnv();
   auto disk = NewThrottledEnv(base.get(), kPaperReadMBps, kPaperWriteMBps,
-                              /*per_request_ms=*/0.05, /*sleep_scale=*/1.0);
+                              kPaperRequestMs, /*sleep_scale=*/1.0);
 
   std::printf(
       "\n=== elementwise chain: fused vs unfused lowering (throttled disk "
@@ -203,6 +245,7 @@ void Run(int argc, char** argv) {
   RunOne("covariance", [](int64_t s) { return MakeCovariance(s); }, &json);
   RunOne("ridge", MakeRidge, &json);
   RunTwoMmLookahead(&json);
+  RunPaperIoLookahead(&json);
 
   RunFusionSweep(&json);
   RunThreadSweep("ridge", MakeRidge, &json);

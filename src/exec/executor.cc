@@ -7,7 +7,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <thread>
 
@@ -136,7 +135,10 @@ Status Executor::LintLoweredPlan(const AccessScript& script,
 //     exactly once,
 //   * the pool's write barrier — a disk read, prefetch or rewrite of a
 //     block waits out its in-flight write-through,
-//   * per-store mutexes — store implementations are single-threaded,
+//   * the store contract (storage/block_store.h) — calls on distinct
+//     blocks of one store may run concurrently, from kernel workers and
+//     I/O workers alike; the three items above keep two calls off one
+//     block,
 //   * the BufferPool's internal lock — frame table and accounting.
 // Memory pressure never deadlocks: a starved instance releases everything
 // it pinned and parks; the frontier instance (smallest incomplete position
@@ -274,12 +276,6 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   // orders every later disk read, prefetch or rewrite of the block after
   // the write.
   WriteThroughLedger ledger;
-  // Store serialization for synchronous calls when no I/O pool owns it.
-  StoreMutexMap local_store_mutexes;
-  StoreMutexMap* store_mutexes =
-      session != nullptr && session->store_mutexes != nullptr
-          ? session->store_mutexes
-          : &local_store_mutexes;
 
   // Per-worker counters, merged after the run.
   struct WorkerStats {
@@ -379,17 +375,10 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     pf.cv.NotifyAll();
   };
 
-  // Synchronous store calls on a kernel worker, serialized against other
-  // workers and in-flight I/O on the same store (store implementations are
-  // not required to be thread-safe; LAB-tree mutates its node cache even
-  // on reads). Time spent waiting for the store is queueing, not disk
-  // time, so the timer starts inside the lock.
-  auto sync_store_op = [&](BlockStore* store, double* io_seconds,
-                           auto&& op) -> Status {
-    std::shared_ptr<std::mutex> serial =
-        io != nullptr ? io->store_mutex(store)
-                      : store_mutexes->mutex_for(store);
-    std::lock_guard<std::mutex> lock(*serial);
+  // A synchronous store call on a kernel worker, timed into its I/O
+  // seconds. It may overlap other workers' and the I/O pool's calls on the
+  // same store (never on the same block).
+  auto sync_store_op = [&](double* io_seconds, auto&& op) -> Status {
     auto t0 = std::chrono::steady_clock::now();
     Status st = op();
     *io_seconds += Since(t0);
@@ -732,7 +721,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
                               " access " + std::to_string(rec.access_idx) +
                               " (plan/realization bug)");
     }
-    Status rst = sync_store_op(store, &ws.io_seconds, [&] {
+    Status rst = sync_store_op(&ws.io_seconds, [&] {
       return store->ReadBlock(rec.block, frame->data.data());
     });
     if (!rst.ok()) {
@@ -845,7 +834,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
         if (!(io != nullptr && store->HasBlock(rec.block) &&
               pool.WriteThroughAsync(frames[ai], own_pins, store, io,
                                      io_channel, &ledger))) {
-          Status wst = sync_store_op(store, &ws.io_seconds, [&] {
+          Status wst = sync_store_op(&ws.io_seconds, [&] {
             return store->WriteBlock(frames[ai]->block,
                                      frames[ai]->data.data());
           });

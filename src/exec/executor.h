@@ -63,7 +63,6 @@
 namespace riot {
 
 class IoPool;
-class StoreMutexMap;
 struct AccessScript;
 struct InstanceDag;
 
@@ -81,9 +80,10 @@ struct InstanceDag;
 ///   * shared I/O workers (`io` + `io_channel`) — prefetch reads are
 ///     submitted on the session's own completion channel, and the pool's
 ///     round-robin dispatch keeps one tenant's lookahead from starving
-///     another's;
-///   * cross-session store serialization (`store_mutexes`) for runs
-///     without an I/O pool of their own.
+///     another's.
+/// Tenants call a shared store concurrently, as a solo run's workers do:
+/// calls on distinct blocks may overlap (storage/block_store.h), and the
+/// shared pool's load latch and write barrier keep two off one block.
 /// A session run executes at one worker (the sessions themselves are the
 /// parallelism), serves resident blocks from memory (the read rule above),
 /// and coalesces concurrent loads of one block across sessions onto a
@@ -94,7 +94,6 @@ struct SessionBinding {
   std::vector<int> pool_array_ids;
   IoPool* io = nullptr;
   int io_channel = 0;
-  StoreMutexMap* store_mutexes = nullptr;
   /// Total seconds a starved fetch parks-and-retries (waiting out other
   /// tenants' transient pressure) before the run fails with the pool's
   /// kResourceExhausted.

@@ -193,7 +193,6 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
   binding.pool_array_ids = std::move(pool_array_ids);
   binding.io = io_.get();
   binding.io_channel = channel;
-  binding.store_mutexes = io_->store_mutexes();
   binding.park_timeout_seconds = opts_.park_timeout_seconds;
 
   ExecOptions eo = spec.exec;

@@ -18,6 +18,20 @@
 
 namespace riot {
 
+/// \brief One array's blocks on disk.
+///
+/// Concurrency contract: ReadBlock and WriteBlock may be called from many
+/// threads at once on *distinct* blocks of one store — I/O workers
+/// prefetching and writing behind, kernel workers reading and writing —
+/// and those calls overlap on the device. Ordering two calls on the *same*
+/// block is the caller's job: the BufferPool's load latch (one load per
+/// block) and write barrier (a read, prefetch or rewrite waits out an
+/// in-flight write), and the executor's dependence edges. HasBlock may run
+/// beside any of them, and Flush persists every write that returned
+/// before it was called. DAF meets this with positional reads and writes
+/// at block * block_bytes; LAB-tree guards its index with a lock of its
+/// own and does data-extent I/O outside it. A store wrapper must keep the
+/// contract.
 class BlockStore {
  public:
   virtual ~BlockStore() = default;
@@ -25,10 +39,8 @@ class BlockStore {
   virtual Status ReadBlock(int64_t block_index, void* buf) = 0;
   virtual Status WriteBlock(int64_t block_index, const void* buf) = 0;
   /// True if the block has ever been written (always true for DAF within
-  /// the preallocated range). Unlike ReadBlock/WriteBlock, safe to call
-  /// while another thread reads or writes the store: the executor asks it
-  /// before handing a write to the I/O workers, and taking the store's
-  /// serialization lock would wait out the I/O they have in flight.
+  /// the preallocated range). The executor asks it before handing a write
+  /// to the I/O workers, while they may be reading or writing the store.
   virtual bool HasBlock(int64_t block_index) = 0;
   virtual Status Flush() { return Status::OK(); }
 

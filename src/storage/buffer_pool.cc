@@ -286,17 +286,7 @@ Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
                           /*channel=*/0);
         continue;
       }
-      {
-        // With write-behind active, the write workers touch the store too;
-        // take its shared serialization lock.
-        std::shared_ptr<std::mutex> serial =
-            write_io_ != nullptr ? write_io_->store_mutex(f.store) : nullptr;
-        std::unique_lock<std::mutex> store_lock;
-        if (serial != nullptr) {
-          store_lock = std::unique_lock<std::mutex>(*serial);
-        }
-        RIOT_RETURN_NOT_OK(f.store->WriteBlock(f.block, f.data.data()));
-      }
+      RIOT_RETURN_NOT_OK(f.store->WriteBlock(f.block, f.data.data()));
       ++stats_.dirty_writebacks;
     }
     ++stats_.evictions;
@@ -428,13 +418,6 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
   f.store = store;
   if (load) {
     RIOT_CHECK(store != nullptr);
-    // With write-behind active, async writers touch this store from I/O
-    // workers; route the pool's own load through the shared per-store
-    // lock (store implementations are not required to be thread-safe).
-    std::shared_ptr<std::mutex> serial =
-        write_io_ != nullptr ? write_io_->store_mutex(store) : nullptr;
-    std::unique_lock<std::mutex> store_lock;
-    if (serial != nullptr) store_lock = std::unique_lock<std::mutex>(*serial);
     RIOT_RETURN_NOT_OK(store->ReadBlock(block, f.data.data()));
   }
   f.pins = 1;
@@ -811,12 +794,6 @@ Status BufferPool::FlushAll() {
     RIOT_CHECK(f.state != FrameState::kPrefetching)
         << "FlushAll with a prefetch in flight";
     if (f.dirty && f.store != nullptr) {
-      std::shared_ptr<std::mutex> serial =
-          write_io_ != nullptr ? write_io_->store_mutex(f.store) : nullptr;
-      std::unique_lock<std::mutex> store_lock;
-      if (serial != nullptr) {
-        store_lock = std::unique_lock<std::mutex>(*serial);
-      }
       Status st = f.store->WriteBlock(f.block, f.data.data());
       if (!st.ok() && first.ok()) first = st;
       if (st.ok()) f.dirty = false;

@@ -15,11 +15,13 @@
 // Dirty victims are written back through their BlockStore (spilling — a
 // correct plan never triggers it, and tests assert so via the spill
 // counters). With SetWriteBehind(io) the write-back is asynchronous: the
-// victim's buffer is handed to `io`'s write workers (serialized against
-// the pool's readers by the IoPool's per-store locks) and the pool moves
-// on; a write barrier makes any later Fetch of an in-flight block wait for
-// the pending write, and a later prefetch of it is declined, so async
-// readers can never observe the pre-write disk image or tear the buffer.
+// victim's buffer is handed to `io`'s write workers and the pool moves
+// on. The workers call the store without a lock of their own — store
+// calls on distinct blocks may overlap (storage/block_store.h) — so the
+// pool orders calls on one block itself: a write barrier makes any later
+// Fetch of an in-flight block wait for the pending write, and a later
+// prefetch of it is declined, so async readers can never observe the
+// pre-write disk image or tear the buffer.
 // In-flight write-behind buffers live outside the cap, bounded by a budget
 // (cap/4); evictions past the budget stall until writes land
 // (BufferPoolStats::writeback_stall_seconds). Without write-behind the
@@ -49,9 +51,10 @@
 // adopted or abandoned) and its own budget, and is *never* allowed to
 // violate the cap, evict a pinned/retained/in-flight frame, or force a
 // dirty write-back — a prefetch that would need any of those is declined.
-// When write-behind is enabled, the pool's own synchronous store calls
-// (Fetch with load=true) also take the IoPool's per-store lock, closing
-// the historical caveat that pool store calls raced async readers.
+// The pool's own synchronous store calls (Fetch with load=true, a
+// synchronous dirty write-back, FlushAll) run beside the I/O workers'
+// calls on the same store; the load latch and the write barrier keep any
+// two of them off the same block at once.
 #ifndef RIOTSHARE_STORAGE_BUFFER_POOL_H_
 #define RIOTSHARE_STORAGE_BUFFER_POOL_H_
 

@@ -5,15 +5,17 @@
 // says are needed soon, and kernels keep running while workers block on
 // the device.
 //
-// Requests against the same BlockStore are serialized with a per-store
-// lock (store implementations are not required to support concurrent
-// access); requests against different stores proceed in parallel across
-// workers. The BufferPool's write-behind hands write-throughs (serial and
-// session runs) and dirty eviction victims (spills) to the same workers
-// via WriteBlockAsync, whose completion is delivered through a caller
-// callback instead of the read completion queue (the queue's consumers
-// only ever expect reads); the pool's write barrier, not submission order,
-// orders later reads of a block after its write.
+// Requests run concurrently across workers, on one store as on many:
+// BlockStore calls on distinct blocks are safe in parallel (see
+// storage/block_store.h), and two calls on the same block are ordered by
+// the caller — the BufferPool's load latch and write barrier, and the
+// executor's DAG edges. The BufferPool's write-behind hands
+// write-throughs (serial and session runs) and dirty eviction victims
+// (spills) to the same workers via WriteBlockAsync, whose completion is
+// delivered through a caller callback instead of the read completion
+// queue (the queue's consumers only ever expect reads); the pool's write
+// barrier, not submission order, orders later reads of a block after its
+// write.
 //
 // Channels make one pool shareable between concurrent consumers (the
 // session runtime's tenants): each channel is an independent submission
@@ -30,12 +32,12 @@
 // for the life of the process. So every request is one node the
 // submitter allocates; a worker only relinks it — from its channel's
 // queue to the channel's done list (a read, freed by WaitCompletion) or to
-// a retired list (a write, freed by the next submit) — and the store
-// mutex is resolved at submit time. On the success path WorkerLoop and
-// everything it calls stay off the allocator, provided the store call and
-// the write callback do too: the BufferPool's callbacks only mark a write
-// landed, and it writes behind only blocks that already exist on disk
-// (an extending write may resize the file). Error paths may allocate (a
+// a retired list (a write, freed by the next submit). On the success
+// path WorkerLoop and everything it calls stay off the allocator,
+// provided the store call and the write callback do too: the
+// BufferPool's callbacks only mark a write landed, and it writes behind
+// only blocks that already exist on disk (an extending write may resize
+// the file). Error paths may allocate (a
 // Status message). OnWorkerThread() lets tests verify this.
 #ifndef RIOTSHARE_STORAGE_IO_POOL_H_
 #define RIOTSHARE_STORAGE_IO_POOL_H_
@@ -46,7 +48,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -55,30 +56,6 @@
 #include "util/thread_annotations.h"
 
 namespace riot {
-
-/// \brief Per-store serialization mutexes, shared between every thread
-/// that touches a BlockStore. Store implementations are not required to be
-/// thread-safe (LAB-tree mutates its node cache even on reads), so the
-/// parallel executor's kernel workers — with or without an IoPool — route
-/// every store call through the store's mutex from one shared map.
-class StoreMutexMap {
- public:
-  /// The handed-out per-store mutexes stay raw std::mutex: they leave this
-  /// map for arbitrary executor/pool threads, outside any annotatable
-  /// scope. Entries are never erased, so a mutex lives as long as the map.
-  std::shared_ptr<std::mutex> mutex_for(BlockStore* store) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    auto it = map_.find(store);
-    if (it == map_.end()) {
-      it = map_.emplace(store, std::make_shared<std::mutex>()).first;
-    }
-    return it->second;
-  }
-
- private:
-  Mutex mu_;
-  std::map<BlockStore*, std::shared_ptr<std::mutex>> map_ GUARDED_BY(mu_);
-};
 
 class IoPool {
  public:
@@ -131,18 +108,6 @@ class IoPool {
   /// Reads submitted on the channel whose completion has not been consumed.
   int64_t outstanding(int channel = 0) const EXCLUDES(mu_);
 
-  /// The serialization mutex for `store`. Callers performing their own
-  /// synchronous reads/writes on a store that also has async reads in
-  /// flight MUST hold this around the call — store implementations are
-  /// not required to be thread-safe (LAB-tree mutates its node cache even
-  /// on reads).
-  std::shared_ptr<std::mutex> store_mutex(BlockStore* store) {
-    return store_mutexes_.mutex_for(store);
-  }
-  /// The underlying shared map, for callers that mix this pool's async
-  /// reads with their own multi-threaded synchronous store calls.
-  StoreMutexMap* store_mutexes() { return &store_mutexes_; }
-
   /// Wall time spent inside ReadBlock on the workers, and reads serviced.
   double read_seconds() const {
     return static_cast<double>(read_nanos_.load()) * 1e-9;
@@ -162,7 +127,6 @@ class IoPool {
   struct Request {
     Request* next = nullptr;  // intrusive link (RequestList)
     BlockStore* store = nullptr;
-    std::mutex* serial = nullptr;  // the store's mutex, resolved at submit
     int64_t block = -1;
     void* buf = nullptr;            // read target
     const void* write_buf = nullptr;  // write source (is_write)
@@ -229,7 +193,6 @@ class IoPool {
   int64_t queued_total_ GUARDED_BY(mu_) = 0;
   // Landed writes, waiting for a submitting thread to free them.
   RequestList retired_ GUARDED_BY(mu_);
-  StoreMutexMap store_mutexes_;
   bool stop_ GUARDED_BY(mu_) = false;
   std::atomic<int64_t> read_nanos_{0};
   std::atomic<int64_t> reads_completed_{0};

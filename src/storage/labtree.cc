@@ -18,8 +18,10 @@ namespace {
 
 constexpr uint32_t kMagic = 0x4C414254;  // "LABT"
 constexpr int64_t kPageBytes = 4096;
-// Page layout: [u8 is_leaf][u8 pad][u16 nkeys][u32 pad][i64 next_leaf]
+// Page layout: [u8 is_leaf][u8 pad][u16 nkeys][u32 pad][i64 tail]
 //              then nkeys * (i64 key, i64 value-or-child).
+// `tail` is a leaf's next_leaf, and an internal node's last child (it has
+// nkeys + 1 children, one more than the entries hold).
 constexpr size_t kPageHeader = 16;
 constexpr size_t kEntryBytes = 16;
 constexpr size_t kMaxKeys = (kPageBytes - kPageHeader) / kEntryBytes;  // 255
@@ -175,13 +177,19 @@ class LabTreeStore : public BlockStore {
     n.is_leaf = raw[0] != 0;
     uint16_t nkeys;
     std::memcpy(&nkeys, raw.data() + 2, 2);
-    std::memcpy(&n.next_leaf, raw.data() + 8, 8);
+    int64_t tail;
+    std::memcpy(&tail, raw.data() + 8, 8);
     n.keys.resize(nkeys);
     n.vals.resize(nkeys);
     for (uint16_t k = 0; k < nkeys; ++k) {
       std::memcpy(&n.keys[k], raw.data() + kPageHeader + k * kEntryBytes, 8);
       std::memcpy(&n.vals[k],
                   raw.data() + kPageHeader + k * kEntryBytes + 8, 8);
+    }
+    if (n.is_leaf) {
+      n.next_leaf = tail;
+    } else {
+      n.vals.push_back(tail);
     }
     auto [ins, ok] = cache_.emplace(id, std::move(n));
     (void)ok;
@@ -193,7 +201,8 @@ class LabTreeStore : public BlockStore {
     raw[0] = n.is_leaf ? 1 : 0;
     uint16_t nkeys = static_cast<uint16_t>(n.keys.size());
     std::memcpy(raw.data() + 2, &nkeys, 2);
-    std::memcpy(raw.data() + 8, &n.next_leaf, 8);
+    const int64_t tail = n.is_leaf ? n.next_leaf : n.vals.back();
+    std::memcpy(raw.data() + 8, &tail, 8);
     for (uint16_t k = 0; k < nkeys; ++k) {
       std::memcpy(raw.data() + kPageHeader + k * kEntryBytes, &n.keys[k], 8);
       std::memcpy(raw.data() + kPageHeader + k * kEntryBytes + 8, &n.vals[k],
@@ -328,8 +337,11 @@ class LabTreeStore : public BlockStore {
   }
 
   std::unique_ptr<File> file_;
-  // Guards the index (header and node pages) but not data-extent I/O, so
-  // HasBlock never waits for a block read or write (BlockStore::HasBlock).
+  // Guards the index (header, node-page cache and page directory), which
+  // lookups mutate too: a miss loads a node page into the cache. This is
+  // the store's only lock. Data-extent I/O runs outside it, so calls on
+  // distinct blocks overlap, and HasBlock never waits for a block read or
+  // write (the BlockStore contract).
   std::mutex index_mu_;
   Header hdr_;
   bool hdr_dirty_ = false;

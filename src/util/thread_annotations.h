@@ -81,9 +81,7 @@ namespace riot {
 class CondVar;
 
 /// \brief std::mutex with the capability annotation the analysis tracks.
-/// Drop-in for the runtime's internal mutexes; code that must hand a raw
-/// std::mutex to outside parties (per-store serialization handed to
-/// executors) keeps std::mutex and documents why.
+/// Drop-in for the runtime's internal mutexes.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 
 #include "analysis/coaccess.h"
 #include "core/access_plan.h"
@@ -148,10 +151,11 @@ TEST(PipelineTest, SharedPlanSemanticsUnchangedUnderPipeline) {
 }
 
 TEST(PipelineTest, PipelinedLabTreeStoresStaySerialized) {
-  // LAB-tree stores mutate their node cache even on reads, so worker
-  // prefetch reads and the consumer's synchronous writes on the same
-  // store must be serialized through the per-store lock. Wrong data or a
-  // crash here means the serialization broke.
+  // LAB-tree stores mutate their node cache even on reads, and worker
+  // prefetch reads run beside the consumer's synchronous writes on the
+  // same store with no lock around the store call: the store's own index
+  // lock must keep its node cache whole. Wrong data or a crash here means
+  // that lock broke.
   Workload w = MakeTwoMatMul(TwoMatMulConfig::kConfigA, /*scale=*/1000);
   auto env = NewMemEnv();
   Runtime rt0;
@@ -286,6 +290,129 @@ TEST(PipelineTest, FansOutInstanceReadsAtExactPeak) {
     EXPECT_EQ(pool.PinnedFrames(), 0);
   }
   ExpectOutputsEqual(w, runs[0], runs[1]);
+}
+
+// Forwards to a store and records the peak number of reads, or of writes,
+// in flight on it at once. Until two have been in flight together, each
+// counted call stays in flight up to 100 ms waiting for another, as on a
+// slow disk. The peak then tells whether the engine ever issues two such
+// calls on one store at once, not how fast the host runs the engine's own
+// code (sanitizer builds run it many times slower). Calls of the other
+// kind pass straight through, so they never hold an I/O worker.
+class InFlightCounter : public BlockStore {
+ public:
+  InFlightCounter(BlockStore* base, bool count_writes)
+      : BlockStore(base->block_bytes()), base_(base),
+        count_writes_(count_writes) {}
+
+  Status ReadBlock(int64_t block, void* buf) override {
+    if (count_writes_) return base_->ReadBlock(block, buf);
+    Enter();
+    Status st = base_->ReadBlock(block, buf);
+    Exit();
+    return st;
+  }
+  Status WriteBlock(int64_t block, const void* buf) override {
+    if (!count_writes_) return base_->WriteBlock(block, buf);
+    Enter();
+    Status st = base_->WriteBlock(block, buf);
+    Exit();
+    return st;
+  }
+  bool HasBlock(int64_t block) override { return base_->HasBlock(block); }
+  Status Flush() override { return base_->Flush(); }
+
+  int peak() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+  }
+
+ private:
+  void Enter() {
+    std::unique_lock<std::mutex> lock(mu_);
+    peak_ = std::max(peak_, ++now_);
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::milliseconds(100),
+                 [this] { return peak_ >= 2; });
+  }
+  void Exit() {
+    std::lock_guard<std::mutex> lock(mu_);
+    --now_;
+  }
+
+  BlockStore* const base_;
+  const bool count_writes_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int now_ = 0;
+  int peak_ = 0;
+};
+
+// Runs `w`'s best plan at depth 2 under a cap of 1.5 x its predicted peak,
+// as the paper_io benchmark does, with array `arr`'s store wrapped in an
+// InFlightCounter; returns its peak. The run must match the plan's block
+// counts and waste no prefetch, and its outputs must equal a depth-0
+// run's bit for bit.
+int PeakInFlight(const Workload& w, const std::string& dir, int arr,
+                 bool count_writes) {
+  OptimizationResult r = Optimize(w.program, OptimizerOptions{});
+  const std::vector<const CoAccess*> q = BestRealized(r);
+  const Schedule& sched = r.best().schedule;
+  PlanCost cost = EvaluatePlanCost(w.program, sched, q);
+
+  auto env = NewMemEnv();
+  Runtime ref;
+  MustRun(w, env.get(), dir + "_ref", sched, q, ExecOptions{}, &ref);
+
+  auto rt = OpenStores(env.get(), w.program, dir);
+  rt.status().CheckOK();
+  InitInputs(w, *rt, /*seed=*/7).CheckOK();
+  // Outputs exist on disk, as after an earlier job, so their writes may go
+  // behind to the I/O workers.
+  for (int out : w.output_arrays) {
+    ZeroArray(w.program.array(out), rt->stores[size_t(out)].get()).CheckOK();
+  }
+  InFlightCounter counter(rt->stores[size_t(arr)].get(), count_writes);
+  std::vector<BlockStore*> stores = rt->raw();
+  stores[size_t(arr)] = &counter;
+  ExecOptions opts;
+  opts.pipeline_depth = 2;
+  opts.memory_cap_bytes =
+      static_cast<int64_t>(1.5 * static_cast<double>(cost.peak_memory_bytes));
+  Executor ex(w.program, stores, w.kernels, opts);
+  auto st = ex.Run(sched, q);
+  st.status().CheckOK();
+  EXPECT_EQ(st->block_reads, cost.block_reads);
+  EXPECT_EQ(st->block_writes, cost.block_writes);
+  EXPECT_EQ(st->prefetch_wasted, 0);
+  ExpectOutputsEqual(w, ref, *rt);
+  return counter.peak();
+}
+
+int ArrayNamed(const Program& p, const std::string& name) {
+  for (const ArrayInfo& a : p.arrays()) {
+    if (a.name == name) return a.id;
+  }
+  return -1;
+}
+
+TEST(PipelineTest, SameStoreReadsOverlapOnLinreg) {
+  // linreg reads X[k] and prefetches X[k+1] from one store: with calls on
+  // distinct blocks free to overlap, both reads are in flight at once.
+  Workload w = MakeLinReg(/*scale=*/200);
+  const int x = ArrayNamed(w.program, "X");
+  ASSERT_GE(x, 0);
+  EXPECT_GE(PeakInFlight(w, "/olr", x, /*count_writes=*/false), 2);
+}
+
+TEST(PipelineTest, SameStoreWritesOverlapOnChain) {
+  // chain's output blocks go behind to the I/O workers one per instance;
+  // two workers land two writes to the output store at once.
+  Workload w = MakeElementwiseChain(/*scale=*/200);
+  ASSERT_EQ(w.output_arrays.size(), 1u);
+  EXPECT_GE(PeakInFlight(w, "/och", w.output_arrays[0],
+                         /*count_writes=*/true),
+            2);
 }
 
 TEST(PipelineTest, OverlapsComputeWithIoOn2mm) {
@@ -436,8 +563,9 @@ TEST(ParallelExecTest, SharedPlanSemanticsPreservedUnderThreads) {
 }
 
 TEST(ParallelExecTest, LabTreeStoresStaySerializedUnderThreads) {
-  // Kernel workers + prefetch workers + LAB-tree's non-thread-safe node
-  // cache: every store call must flow through the shared per-store mutex.
+  // Kernel workers + prefetch workers calling LAB-tree stores at once:
+  // the store's own index lock must keep its node cache whole while
+  // data-extent I/O on distinct blocks overlaps.
   Workload w = MakeTwoMatMul(TwoMatMulConfig::kConfigA, /*scale=*/1000);
   auto env = NewMemEnv();
   Runtime rt0;

@@ -102,7 +102,9 @@ TEST(LabTreeTest, MissingBlockIsNotFound) {
 }
 
 TEST(LabTreeTest, ManyKeysForceSplits) {
-  // > 255 keys forces at least one leaf split and an internal root.
+  // > 255 keys forces at least one leaf split and an internal root. The
+  // split tree survives a reopen: an internal page keeps its last child
+  // too, one more than it has keys.
   auto env = NewMemEnv();
   auto store = OpenLabTree(env.get(), "/t", 16);
   std::vector<uint8_t> buf(16), in(16);
@@ -116,6 +118,14 @@ TEST(LabTreeTest, ManyKeysForceSplits) {
     ASSERT_TRUE((*store)->ReadBlock(b, in.data()).ok()) << "read " << b;
   }
   ASSERT_TRUE((*store)->Flush().ok());
+  store = OpenLabTree(env.get(), "/t", 16);
+  ASSERT_TRUE(store.ok());
+  for (int64_t b = 0; b < n; ++b) {
+    // Block b * 7 % n was written in round b.
+    ASSERT_TRUE((*store)->ReadBlock(b * 7 % n, in.data()).ok())
+        << "reread " << b;
+    EXPECT_EQ(in[0], static_cast<uint8_t>(b % 251)) << b;
+  }
 }
 
 TEST(FormatEquivalenceTest, DafAndLabTreeSeeIdenticalData) {
