@@ -230,7 +230,6 @@ void BenchJson::Flush() {
       << ", \"block_reads\": " << s.block_reads
       << ", \"block_writes\": " << s.block_writes
       << ", \"evictions\": " << s.pool.evictions
-      << ", \"dirty_writebacks\": " << s.pool.dirty_writebacks
       << ", \"policy_saved_reads\": " << s.policy_saved_reads
       << ", \"prefetch_hits\": " << s.prefetch_hits
       << ", \"prefetch_wasted\": " << s.prefetch_wasted

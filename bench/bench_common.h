@@ -41,7 +41,6 @@ struct PlanRun {
 /// [{plan, kind, threads, pipeline_depth, policy, cap_bytes, wall_seconds,
 /// io_seconds, compute_seconds, overlap_seconds, compute_overlap_seconds,
 /// bytes_read, bytes_written, block_reads, block_writes, evictions,
-/// dirty_writebacks,
 /// policy_saved_reads, prefetch_hits, prefetch_wasted, prefetch_issued,
 /// prefetch_declined, parallel_groups, max_ready_width}, ...]} — so
 /// scripts/bench_json.sh can track wall/overlap/utilization and the

@@ -144,13 +144,11 @@ BENCHMARK_CAPTURE(BM_LowerPlan, linreg, std::string("linreg"))
     ->Unit(benchmark::kMillisecond);
 
 void BM_BufferPoolFetchHit(benchmark::State& state) {
-  auto env = NewMemEnv();
-  auto store = OpenDaf(env.get(), "/b", 4096, 16);
   BufferPool pool(1 << 20);
-  auto f = pool.Fetch(0, 0, 4096, store->get(), false);
+  auto f = pool.Fetch(0, 0, 4096);
   pool.Unpin(*f);
   for (auto _ : state) {
-    auto fr = pool.Fetch(0, 0, 4096, store->get(), false);
+    auto fr = pool.Fetch(0, 0, 4096);
     pool.Unpin(*fr);
     benchmark::DoNotOptimize(fr);
   }

@@ -14,7 +14,7 @@
 // beat LRU (checked strictly at the tightest cap), outputs must stay
 // bit-identical to solo runs, and every point is cross-checked against
 // SimulateMultiTenantCache exactly. `--json <path>` emits both sweeps
-// machine-readably (reads, evictions, spills, wall) for the perf
+// machine-readably (reads, evictions, wall) for the perf
 // trajectory.
 #include <algorithm>
 #include <cstdio>
@@ -54,9 +54,8 @@ void Run(BenchJson* json) {
       "\n=== replacement policy x cap sweep (2mm Config A, opportunistic "
       "cache, MemEnv, 1/%lld scale; total array bytes %.1f MB) ===\n",
       static_cast<long long>(ExecScale(100)), total_bytes / 1e6);
-  std::printf("%10s %8s %12s %10s %10s %8s %12s %9s\n", "cap(%)", "policy",
-              "block_reads", "evictions", "spills", "hits", "saved_reads",
-              "wall(s)");
+  std::printf("%10s %8s %12s %10s %8s %12s %9s\n", "cap(%)", "policy",
+              "block_reads", "evictions", "hits", "saved_reads", "wall(s)");
 
   int run_idx = 0;
   for (const double frac : {1.0, 0.5, 0.25, 0.125}) {
@@ -94,11 +93,10 @@ void Run(BenchJson* json) {
       RIOT_CHECK_EQ(predicted->evictions, stats->pool.evictions);
 
       if (kind == ReplacementKind::kLru) lru_reads = stats->block_reads;
-      std::printf("%9.0f%% %8s %12lld %10lld %10lld %8lld %12lld %9.3f",
+      std::printf("%9.0f%% %8s %12lld %10lld %8lld %12lld %9.3f",
                   frac * 100, ReplacementKindName(kind).c_str(),
                   static_cast<long long>(stats->block_reads),
                   static_cast<long long>(stats->pool.evictions),
-                  static_cast<long long>(stats->pool.dirty_writebacks),
                   static_cast<long long>(stats->pool.hits),
                   static_cast<long long>(stats->policy_saved_reads),
                   stats->wall_seconds);

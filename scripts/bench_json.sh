@@ -12,7 +12,7 @@
 # admission waits; plus a pool-cap x replacement sweep with per-run
 # block_reads / policy_saved_reads / evictions) and drops
 # BENCH_<name>.json files (wall, io_seconds, compute_seconds, overlap,
-# threads, DAG width, per-policy block_reads/evictions/spills, and
+# threads, DAG width, per-policy block_reads/evictions, and
 # per-session throughput) into the output directory.
 #
 # Usage: scripts/bench_json.sh [build_dir] [out_dir]

@@ -18,6 +18,23 @@ for build_type in Debug Release; do
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" -LE stress
 done
 
+# Optimizer bench smoke, mirroring CI's Release-only step: the uncapped
+# border search must make at most 64 FindSchedule calls on ridge and
+# linreg.
+echo "=== optimizer bench smoke ==="
+opt_json="$(mktemp)"
+trap 'rm -f "${opt_json}"' EXIT
+./build-release/bench_opt_time --json "${opt_json}"
+python3 - "${opt_json}" <<'EOF'
+import json, sys
+runs = {r["program"]: r for r in json.load(open(sys.argv[1]))["runs"]}
+for name in ("ridge", "linreg"):
+    calls = runs[name]["find_schedule_calls"]
+    print(f"{name}: {calls} FindSchedule calls")
+    if calls > 64:
+        sys.exit(f"{name} made {calls} FindSchedule calls (limit 64)")
+EOF
+
 # Static-analysis gate, mirroring the CI static-analysis job. The
 # plan-integrity linter runs everywhere; the Clang legs (thread-safety
 # annotations as errors, clang-tidy) need a Clang toolchain and are

@@ -109,10 +109,8 @@ Result<CacheSimResult> SimulateCacheBehavior(
   // release expired retentions at group boundaries, advance the policy
   // clock per instance, fetch reads-then-write, retain as scripted, unpin
   // at instance end. The pool's own counters then ARE the prediction.
-  // (access_idx, frame): the engine releases an instance's pins in access
-  // order, not record (reads-then-write) order — Clock's ring order
-  // depends on it.
-  std::vector<std::pair<int, BufferPool::Frame*>> frames;
+  // Unpin order is free: both policies order victims by touch sequence.
+  std::vector<BufferPool::Frame*> frames;
   size_t cur_group = 0;
   for (size_t pos = 0; pos < script.order.size(); ++pos) {
     if (script.group_of[pos] != cur_group) {
@@ -143,13 +141,12 @@ Result<CacheSimResult> SimulateCacheBehavior(
         // (plan-exact I/O counts must match the linear sharing model).
         disk_read = !saved || !present;
       }
-      auto f = pool.Fetch(rec.array_id, rec.block, rec.bytes,
-                          /*store=*/nullptr, /*load=*/false);
+      auto f = pool.Fetch(rec.array_id, rec.block, rec.bytes);
       if (!f.ok()) {
-        for (auto& [ai, held] : frames) pool.Unpin(held);
+        for (BufferPool::Frame* held : frames) pool.Unpin(held);
         return f.status();
       }
-      frames.emplace_back(rec.access_idx, *f);
+      frames.push_back(*f);
       if (disk_read) {
         out.read_bytes += rec.bytes;
         ++out.block_reads;
@@ -162,9 +159,7 @@ Result<CacheSimResult> SimulateCacheBehavior(
         pool.Retain(*f, rec.retain_until_group);
       }
     }
-    std::sort(frames.begin(), frames.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [ai, f] : frames) pool.Unpin(f);
+    for (BufferPool::Frame* f : frames) pool.Unpin(f);
   }
   pool.ReleaseRetainedBefore(std::numeric_limits<int64_t>::max());
   if (schedule_policy) pool.UnbindUsePlan(bound_uses);
@@ -173,7 +168,6 @@ Result<CacheSimResult> SimulateCacheBehavior(
   out.hits = ps.hits;
   out.misses = ps.misses;
   out.evictions = ps.evictions;
-  out.dirty_writebacks = ps.dirty_writebacks;
   out.io_seconds =
       static_cast<double>(out.read_bytes) / (options.read_mb_per_s * 1e6) +
       static_cast<double>(out.write_bytes) / (options.write_mb_per_s * 1e6);
@@ -199,8 +193,8 @@ struct TenantReplay {
   AccessScript script;
   std::shared_ptr<const BlockUseMap> bound;
   std::unique_ptr<PoolAccount> account;
-  // Frames the last pre-step pinned, (access_idx, frame) in record order.
-  std::vector<std::pair<int, BufferPool::Frame*>> frames;
+  // Frames the last pre-step pinned, in record order.
+  std::vector<BufferPool::Frame*> frames;
   size_t done = 0;  // kernels completed (== interleaving entries consumed)
   size_t cur_group = 0;
 };
@@ -246,17 +240,19 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
       const BlockAccessRecord& rec = st.script.records[ri];
       bool resident = false;
       auto f = pool.Fetch(pid(t, rec.array_id), rec.block, rec.bytes,
-                          /*store=*/nullptr, /*load=*/false, &resident,
-                          st.account.get(), /*coalesce_loads=*/true);
+                          &resident, st.account.get(),
+                          /*coalesce_loads=*/true);
       if (!f.ok()) {
         // The engine parks here and retries once a co-tenant frees bytes;
         // under a fixed interleaving no such future exists, so surface
         // the refusal (callers must budget the way the runtime admits).
-        for (auto& [ai, held] : st.frames) pool.Unpin(held, st.account.get());
+        for (BufferPool::Frame* held : st.frames) {
+          pool.Unpin(held, st.account.get());
+        }
         st.frames.clear();
         return f.status();
       }
-      st.frames.emplace_back(rec.access_idx, *f);
+      st.frames.push_back(*f);
       if (rec.type == AccessType::kRead) {
         if (!resident) {
           if (rec.saved) {
@@ -280,24 +276,20 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
     return Status::OK();
   };
 
-  // Runs instance `pos`'s post-kernel pool ops: write-out accounting and
-  // MarkClean in record order, then unpins in access order.
+  // Runs instance `pos`'s post-kernel pool ops: write-out accounting, then
+  // the unpins.
   auto post_step = [&](size_t t, size_t pos) {
     TenantReplay& st = state[t];
     CacheSimResult& per = out.per_tenant[t];
     const auto [rec_begin, rec_end] = st.script.per_pos[pos];
     for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
       const BlockAccessRecord& rec = st.script.records[ri];
-      if (rec.type != AccessType::kWrite) continue;
-      if (!rec.saved) {
+      if (rec.type == AccessType::kWrite && !rec.saved) {
         per.write_bytes += rec.bytes;
         ++per.block_writes;
       }
-      pool.MarkClean(st.frames[ri - rec_begin].second);
     }
-    std::sort(st.frames.begin(), st.frames.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [ai, f] : st.frames) pool.Unpin(f, st.account.get());
+    for (BufferPool::Frame* f : st.frames) pool.Unpin(f, st.account.get());
     st.frames.clear();
   };
 
@@ -382,7 +374,6 @@ Result<MultiTenantCacheResult> SimulateMultiTenantCache(
   out.total.hits = ps.hits;
   out.total.misses = ps.misses;
   out.total.evictions = ps.evictions;
-  out.total.dirty_writebacks = ps.dirty_writebacks;
   for (CacheSimResult& per : out.per_tenant) {
     per.io_seconds =
         static_cast<double>(per.read_bytes) / (options.read_mb_per_s * 1e6) +

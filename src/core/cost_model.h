@@ -111,7 +111,6 @@ struct CacheSimResult {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t evictions = 0;
-  int64_t dirty_writebacks = 0;  // always 0: the engine is write-through
   /// Opportunistic replay: reads served from residency instead of disk.
   int64_t policy_saved_reads = 0;
   double io_seconds = 0.0;  // volumes at the CostModelOptions rates

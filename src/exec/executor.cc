@@ -54,8 +54,6 @@ BufferPoolStats DiffPoolStats(const BufferPoolStats& end,
   d.hits = end.hits - start.hits;
   d.misses = end.misses - start.misses;
   d.evictions = end.evictions - start.evictions;
-  d.dirty_writebacks = end.dirty_writebacks - start.dirty_writebacks;
-  d.async_writebacks = end.async_writebacks - start.async_writebacks;
   d.writeback_stall_seconds =
       end.writeback_stall_seconds - start.writeback_stall_seconds;
   d.prefetch_issued = end.prefetch_issued - start.prefetch_issued;
@@ -247,8 +245,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   std::unique_ptr<const RangeMax> required_max;
   if (depth > 0) {
     if (session != nullptr && session->io != nullptr) {
-      // Shared I/O workers: submit on the session's channel; pool-wide
-      // knobs (prefetch budget, write-behind) belong to the runtime.
+      // Shared I/O workers: submit on the session's channel; the
+      // pool-wide prefetch budget belongs to the runtime.
       io = session->io;
       io_channel = session->io_channel;
     } else {
@@ -263,7 +261,6 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
           0, pool.cap_bytes() - static_cast<int64_t>(nworkers - 1) *
                                     script.max_instance_bytes));
       required_max = std::make_unique<const RangeMax>(script.required_bytes);
-      pool.SetWriteBehind(io);
     }
   }
   // Session runs keep lookahead only: the session budget may refuse an
@@ -478,8 +475,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       return Issue::kHandled;
     }
     BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
-    BufferPool::Frame* f = pool.TryStartPrefetch(key.first, rec.block,
-                                                 rec.bytes, store, required);
+    BufferPool::Frame* f =
+        pool.TryStartPrefetch(key.first, rec.block, rec.bytes, required);
     if (f == nullptr) {
       if (pool.WriteInFlight(key.first, rec.block)) {
         return Issue::kDepBlocked;  // the producing write has not landed
@@ -656,9 +653,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
           continue;
         }
         const int64_t landed = ledger.landed.load();
-        auto f = pool.Fetch(key.first, rec.block, rec.bytes, store,
-                            /*load=*/false, &resident, account,
-                            /*coalesce_loads=*/true);
+        auto f = pool.Fetch(key.first, rec.block, rec.bytes, &resident,
+                            account, /*coalesce_loads=*/true);
         if (f.ok()) {
           frame = *f;
           break;
@@ -817,7 +813,9 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       ws.compute_seconds += Since(t0);
     }
 
-    // Write-out (write-through keeps every unretained frame == disk).
+    // Write-out (write-through keeps every unretained frame == disk). A
+    // saved write stays in memory only: its retention (set above) keeps it
+    // for the reads that consume it.
     for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
       const BlockAccessRecord& rec = script.records[ri];
       if (rec.type != AccessType::kWrite) continue;
@@ -846,10 +844,6 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
         ws.bytes_written += rec.bytes;
         ++ws.block_writes;
       }
-      // Either way the in-memory copy is authoritative; retention (set
-      // above) protects it for pending saved reads. Cleared under the pool
-      // lock: concurrent eviction scans read the flag.
-      pool.MarkClean(frames[ai]);
     }
 
     // Measure the requirement while the instance's frames are still
@@ -986,12 +980,11 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
 
   // Cleanup (success and error): drain every in-flight prefetch (the
   // lookahead the plan ended ahead of, all of it on error) so no
-  // kPrefetching frame survives this run, land every write-through and
-  // write-behind, join the I/O workers, and release every retention this
-  // run created — even an error leaves `pool` clean (the shared_pool
-  // contract). A session's shared IoPool needs no drain beyond the cancel
-  // loop (its channel is then empty) and reports worker time runtime-wide,
-  // not here.
+  // kPrefetching frame survives this run, land every write-through, join
+  // the I/O workers, and release every retention this run created — even
+  // an error leaves `pool` clean (the shared_pool contract). A session's
+  // shared IoPool needs no drain beyond the cancel loop (its channel is
+  // then empty) and reports worker time runtime-wide, not here.
   Status run_status;
   {
     MutexLock lock(&sc.mu);  // workers are joined; lock for the analysis
@@ -1014,9 +1007,6 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     stats.write_behind_peak_bytes = ledger.peak_held_bytes.load();
   }
   if (owned_io != nullptr) {
-    Status wb = pool.DrainWritebacks();
-    pool.SetWriteBehind(nullptr);
-    if (run_status.ok() && !wb.ok()) run_status = wb;
     stats.io_seconds += owned_io->read_seconds() + owned_io->write_seconds();
     owned_io.reset();  // joins the workers
   }

@@ -184,13 +184,14 @@ struct ExecOptions {
   /// only as clean, evictable cache, and a failed load's garbage frame is
   /// discarded rather than cached. Lingering frames mirror the stores as
   /// of the last run: a caller that mutates the stores out-of-band between
-  /// runs must use a fresh pool (or FlushAll), since multi-worker runs
-  /// serve resident frames without re-touching disk.
+  /// runs must drop the array's frames first (DropArrayFrames) or use a
+  /// fresh pool, since multi-worker runs serve resident frames without
+  /// re-touching disk.
   BufferPool* shared_pool = nullptr;
   /// Multi-tenant context (see SessionBinding). When set the run executes
   /// at one worker regardless of exec_threads, never reconfigures the
-  /// shared pool's prefetch budget or write-behind (the session runtime
-  /// owns pool-wide knobs), and serves resident reads from memory, so I/O
+  /// shared pool's prefetch budget (the session runtime owns pool-wide
+  /// knobs), and serves resident reads from memory, so I/O
   /// counts may come in under the cost-model prediction. Outputs are
   /// unchanged. The binding must outlive the run.
   const SessionBinding* session = nullptr;

@@ -19,19 +19,10 @@ SessionRuntime::SessionRuntime(SessionRuntimeOptions options)
     : opts_(options),
       admission_(MakeAdmissionPolicy(options.admission,
                                      options.admission_aging_seconds)),
-      pool_(options.pool_cap_bytes, MakeReplacementPolicy(options.replacement)),
-      io_(std::make_unique<IoPool>(std::max(1, options.io_threads))) {
+      io_(std::make_unique<IoPool>(std::max(1, options.io_threads))),
+      pool_(options.pool_cap_bytes,
+            MakeReplacementPolicy(options.replacement)) {
   PublishHeadroom();
-  pool_.SetWriteBehind(io_.get());
-}
-
-SessionRuntime::~SessionRuntime() {
-  // Every in-flight write-behind references io_'s workers; land them all
-  // and detach before the IoPool joins. Failures are dropped with the
-  // cache, exactly like ~BufferPool.
-  pool_.DrainWritebacks();
-  pool_.SetWriteBehind(nullptr);
-  io_.reset();
 }
 
 void SessionRuntime::AdmitLocked() {
@@ -136,7 +127,6 @@ Result<SessionStats> SessionRuntime::Run(const SessionSpec& spec) {
     if (footprint <= 0) footprint = cost->peak_memory_bytes;
     if (work <= 0) work = cost->TotalSeconds();
   }
-  footprint += opts_.footprint_margin_bytes;
   if (footprint > opts_.pool_cap_bytes) {
     MutexLock lock(&mu_);
     ++stats_.sessions_rejected;

@@ -84,13 +84,9 @@ struct SessionRuntimeOptions {
   /// it now beats LRU under multi-tenancy too; LRU remains the cheapest
   /// default for workloads that never rebind the same blocks.
   ReplacementKind replacement = ReplacementKind::kLru;
-  /// Shared I/O workers servicing every session's prefetch traffic, its
-  /// write-through (sessions at pipeline_depth >= 1) and dirty-eviction
-  /// spills.
+  /// Shared I/O workers servicing every session's prefetch traffic and its
+  /// write-through (sessions at pipeline_depth >= 1).
   int io_threads = 2;
-  /// Safety margin added to every session's declared/derived footprint
-  /// before admission (headroom for alignment and small plan errors).
-  int64_t footprint_margin_bytes = 0;
   /// Seconds a starved fetch inside a session parks before giving up.
   double park_timeout_seconds = 10.0;
   /// Admission-queue ordering (ops/admission.h). kFifo is the historical
@@ -117,9 +113,8 @@ struct SessionSpec {
   const std::vector<StatementKernel>* kernels = nullptr;
   /// Exec knobs honored per session: mode, pipeline_depth (prefetch and
   /// write-behind on the shared IoPool). shared_pool / session /
-  /// memory_cap_bytes / exec_threads are owned by the runtime, as are the
-  /// pool-wide knobs (the prefetch budget is the unreserved headroom, and
-  /// write-behind is always on).
+  /// memory_cap_bytes / exec_threads are owned by the runtime, as is the
+  /// pool-wide prefetch budget (the unreserved headroom).
   ExecOptions exec;
   /// Peak pinned+retained bytes the plan needs — the session's budget and
   /// admission reservation. 0 = derive exactly from the cost model.
@@ -178,7 +173,6 @@ struct RuntimeStats {
 class SessionRuntime {
  public:
   explicit SessionRuntime(SessionRuntimeOptions options = {});
-  ~SessionRuntime();
 
   SessionRuntime(const SessionRuntime&) = delete;
   SessionRuntime& operator=(const SessionRuntime&) = delete;
@@ -231,8 +225,10 @@ class SessionRuntime {
 
   const SessionRuntimeOptions opts_;
   const std::unique_ptr<AdmissionPolicy> admission_;
-  BufferPool pool_;
+  /// Declared before pool_ so it outlives it: ~BufferPool waits out any
+  /// write still in flight on these workers.
   std::unique_ptr<IoPool> io_;
+  BufferPool pool_;
 
   /// Lock order: pool_'s internal mutex is NEVER acquired while mu_ is
   /// held (executors hold pool state while Run() re-enters mu_ to merge

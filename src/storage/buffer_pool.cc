@@ -23,9 +23,9 @@ BufferPool::BufferPool(int64_t cap_bytes,
                   : MakeReplacementPolicy(ReplacementKind::kLru)) {}
 
 BufferPool::~BufferPool() {
-  // Write-behind callbacks reference this pool; they must all have fired.
-  // Failures were surfaced through DrainWritebacks/Fetch barriers (or are
-  // dropped here — the pool is going away along with its cache).
+  // Write completions reference this pool; they must all have fired.
+  // Failures were surfaced through DrainWriteThroughs/Fetch barriers (or
+  // are dropped here — the pool is going away along with its cache).
   UniqueMutexLock lock(&mu_);
   WaitAllWritebacksLocked(lock);
 }
@@ -120,17 +120,6 @@ void BufferPool::RechargeLocked(Frame* f) {
   f->account = want;
 }
 
-Status BufferPool::DrainWritebacksLocked(UniqueMutexLock& lock) {
-  WaitAllWritebacksLocked(lock);
-  ReapLandedLocked();
-  Status first = Status::OK();
-  for (const auto& [key, pw] : pending_writes_) {
-    if (!pw->status.ok() && first.ok()) first = pw->status;
-  }
-  pending_writes_.clear();
-  return first;
-}
-
 BufferPool::Frame* BufferPool::Probe(int array_id, int64_t block) {
   MutexLock lock(&mu_);
   auto it = frames_.find({array_id, block});
@@ -151,10 +140,6 @@ void BufferPool::SubmitWriteLocked(IoPool* io, BlockStore* store,
         MutexLock lock(&mu_);
         landed->status = std::move(st);
         landed->done = true;
-        // A spill's buffer (empty for a write-through) leaves the
-        // write-behind budget; the buffer itself is freed when reaped.
-        writeback_inflight_bytes_ -=
-            static_cast<int64_t>(landed->data.size());
         ++landed_unreaped_;
         // Under the lock: a woken drain may destroy the pool right after.
         writeback_cv_.NotifyAll();
@@ -173,35 +158,29 @@ void BufferPool::ReapLandedLocked() {
     pw.reaped = true;
     --landed_unreaped_;
     const bool ok = pw.status.ok();
-    if (WriteThroughLedger* ledger = pw.ledger; ledger != nullptr) {
-      ledger->in_flight.erase(std::find(ledger->in_flight.begin(),
-                                        ledger->in_flight.end(), it->first));
-      if (!ok && !ledger->failed.exchange(true)) {
-        ledger->first_error = pw.status;
-      }
-      ++ledger->landed;
-      Frame* frame = pw.frame;
-      MutateTracked(frame, [&] {
-        frame->writer = nullptr;
-        if (!ok) {
-          // Contents never reached disk: never let them pass as cache.
-          frame->discarded = true;
-          frame->retentions.clear();
-        }
-      });
-      EraseIfReleasedLocked(frame);
-    } else if (!ok) {
-      // The spilled data cannot reach disk; keep only the status.
-      pw.data.clear();
-      pw.data.shrink_to_fit();
+    WriteThroughLedger* ledger = pw.ledger;
+    ledger->in_flight.erase(std::find(ledger->in_flight.begin(),
+                                      ledger->in_flight.end(), it->first));
+    if (!ok && !ledger->failed.exchange(true)) {
+      ledger->first_error = pw.status;
     }
+    ++ledger->landed;
+    Frame* frame = pw.frame;
+    MutateTracked(frame, [&] {
+      frame->writer = nullptr;
+      if (!ok) {
+        // Contents never reached disk: never let them pass as cache.
+        frame->discarded = true;
+        frame->retentions.clear();
+      }
+    });
+    EraseIfReleasedLocked(frame);
     // A failed write's entry stays: it poisons the block until drained.
     it = ok ? pending_writes_.erase(it) : std::next(it);
   }
 }
 
-Status BufferPool::WaitWritebackLocked(UniqueMutexLock& lock,
-                                       const Key& key) {
+Status BufferPool::WaitWritebackLocked(UniqueMutexLock& lock, Key key) {
   for (;;) {
     ReapLandedLocked();
     auto pit = pending_writes_.find(key);
@@ -210,7 +189,7 @@ Status BufferPool::WaitWritebackLocked(UniqueMutexLock& lock,
       // Reaped successful entries are gone; a lingering done entry is a
       // failed write: the block's disk image is stale and its data is
       // gone. Surface the error instead of letting the caller reread
-      // garbage (DrainWritebacks clears the poisoning).
+      // garbage (DrainWriteThroughs clears the poisoning).
       return pit->second->status;
     }
     auto t0 = std::chrono::steady_clock::now();
@@ -219,22 +198,12 @@ Status BufferPool::WaitWritebackLocked(UniqueMutexLock& lock,
   }
 }
 
-Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
-                                        int64_t incoming_bytes,
-                                        bool for_prefetch) {
-  for (;;) {
-    // Landed write-throughs release their frames here.
-    ReapLandedLocked();
-    if (used_bytes_ + incoming_bytes <= cap_bytes_) break;
-    // The policy orders candidates; dirty frames are unusable for a
-    // prefetch-driven eviction (prefetch must never force a spill).
-    auto usable = [&](const Key& k) {
-      auto fit = frames_.find(k);
-      RIOT_CHECK(fit != frames_.end());
-      return !(for_prefetch && fit->second.dirty);
-    };
+Status BufferPool::EnsureCapacityLocked(int64_t incoming_bytes) {
+  // Landed write-throughs release their frames here.
+  ReapLandedLocked();
+  while (used_bytes_ + incoming_bytes > cap_bytes_) {
     Key victim;
-    if (!policy_->PickVictim(usable, &victim)) {
+    if (!policy_->PickVictim(&victim)) {
       return Status::ResourceExhausted(
           "buffer pool cap exceeded with all frames pinned/retained (cap=" +
           std::to_string(cap_bytes_) + ", used=" +
@@ -245,50 +214,6 @@ Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
     RIOT_CHECK(fit != frames_.end());
     Frame& f = fit->second;
     RIOT_CHECK(IsEvictable(f));
-    if (f.dirty) {
-      RIOT_CHECK(!for_prefetch);
-      RIOT_CHECK(f.store != nullptr);
-      // Only a block the store already has is written behind: extending
-      // the file may allocate, which the write workers must not.
-      if (write_io_ != nullptr && f.store->HasBlock(f.block)) {
-        const int64_t fbytes = static_cast<int64_t>(f.data.size());
-        // No write of a victim is pending. A spill erases its frame under
-        // this lock, and Fetch/TryStartPrefetch never re-create it past
-        // the barrier. A victim has writer == nullptr (IsEvictable), so
-        // any write-through of the block has landed and been reaped —
-        // erasing its entry — above; a failed one discarded its frame,
-        // which is not evictable either.
-        RIOT_CHECK(pending_writes_.count(victim) == 0);
-        // In-flight write-behind buffers live outside the cap; bound them.
-        const int64_t budget = std::max(cap_bytes_ / 4, fbytes);
-        if (writeback_inflight_bytes_ + fbytes > budget) {
-          auto t0 = std::chrono::steady_clock::now();
-          writeback_cv_.Wait(lock);
-          stats_.writeback_stall_seconds += Since(t0);
-          continue;
-        }
-        // Move the buffer to the writer and drop the frame; the barrier in
-        // Fetch/TryStartPrefetch covers the block until the write lands.
-        auto pw = std::make_shared<PendingWrite>();
-        pw->data = std::move(f.data);
-        BlockStore* store = f.store;
-        const int64_t block = f.block;
-        pending_writes_[victim] = pw;
-        writeback_inflight_bytes_ += fbytes;
-        ++stats_.dirty_writebacks;
-        ++stats_.async_writebacks;
-        ++stats_.evictions;
-        used_bytes_ -= fbytes;
-        policy_->OnErase(victim);
-        frames_.erase(fit);
-        const void* buf = pw->data.data();
-        SubmitWriteLocked(write_io_, store, block, buf, std::move(pw),
-                          /*channel=*/0);
-        continue;
-      }
-      RIOT_RETURN_NOT_OK(f.store->WriteBlock(f.block, f.data.data()));
-      ++stats_.dirty_writebacks;
-    }
     ++stats_.evictions;
     EraseFrameLocked(&f);
   }
@@ -296,8 +221,8 @@ Status BufferPool::EnsureCapacityLocked(UniqueMutexLock& lock,
 }
 
 Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
-                                             int64_t bytes, BlockStore* store,
-                                             bool load, bool* was_resident,
+                                             int64_t bytes,
+                                             bool* was_resident,
                                              PoolAccount* account,
                                              bool coalesce_loads) {
   UniqueMutexLock lock(&mu_);
@@ -381,8 +306,9 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
       return &f;
     }
     if (pending_writes_.count(key) > 0) {
-      // Write-behind barrier: the block's only current copy is in flight
-      // to disk. Wait it out so the load below observes the written data.
+      // Write barrier: a write of the block is in flight (or failed and
+      // not yet drained). Wait it out so the caller's load observes the
+      // written data, or surface the failure.
       RIOT_RETURN_NOT_OK(WaitWritebackLocked(lock, key));
       continue;  // the wait dropped the lock: re-check residency
     }
@@ -401,11 +327,7 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
       ++stats_.misses;
       counted_miss = true;
     }
-    RIOT_RETURN_NOT_OK(EnsureCapacityLocked(lock, bytes,
-                                            /*for_prefetch=*/false));
-    // Capacity waits (write-behind) may have dropped the lock: if the
-    // frame or a pending write materialized meanwhile, start over.
-    if (frames_.count(key) > 0 || pending_writes_.count(key) > 0) continue;
+    RIOT_RETURN_NOT_OK(EnsureCapacityLocked(bytes));
     break;
   }
   if (was_resident != nullptr) *was_resident = false;
@@ -415,13 +337,8 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
   f.data.resize(static_cast<size_t>(bytes));
   RIOT_DCHECK(IsAligned(f.data.data()))
       << "frame buffer not cache-line aligned";
-  f.store = store;
-  if (load) {
-    RIOT_CHECK(store != nullptr);
-    RIOT_RETURN_NOT_OK(store->ReadBlock(block, f.data.data()));
-  }
   f.pins = 1;
-  f.loading = coalesce_loads && !load;  // caller fills it, then MarkLoaded
+  f.loading = coalesce_loads;  // caller fills it, then MarkLoaded
   AddHoldLocked(&f, account);
   used_bytes_ += bytes;
   required_bytes_ += bytes;
@@ -523,11 +440,6 @@ void BufferPool::Retain(Frame* frame, int64_t until_group,
   });
 }
 
-void BufferPool::MarkClean(Frame* frame) {
-  MutexLock lock(&mu_);
-  frame->dirty = false;
-}
-
 void BufferPool::ReleaseRetainedBefore(int64_t group, PoolAccount* owner) {
   MutexLock lock(&mu_);
   // O(frames) under mu_ per group boundary; fine while retention counts
@@ -572,21 +484,6 @@ void BufferPool::AdvanceReplacementClock(
     const std::shared_ptr<const BlockUseMap>& uses, int64_t pos) {
   MutexLock lock(&mu_);
   policy_->AdvanceClock(uses, pos);
-}
-
-void BufferPool::SetWriteBehind(IoPool* io) {
-  UniqueMutexLock lock(&mu_);
-  if (io == nullptr) {
-    // Detaching: every in-flight write must land first (its callback and
-    // buffer reference the departing IoPool's workers).
-    WaitAllWritebacksLocked(lock);
-  }
-  write_io_ = io;
-}
-
-Status BufferPool::DrainWritebacks() {
-  UniqueMutexLock lock(&mu_);
-  return DrainWritebacksLocked(lock);
 }
 
 bool BufferPool::WriteThroughAsync(Frame* frame, int caller_pins,
@@ -648,9 +545,8 @@ Status BufferPool::DrainWriteThroughs(WriteThroughLedger* ledger) {
 
 BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
                                                 int64_t bytes,
-                                                BlockStore* store,
                                                 int64_t required_bytes) {
-  UniqueMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   ReapLandedLocked();
   Key key{array_id, block};
   const int64_t held = prefetch_counts_write_held_ ? write_held_bytes_ : 0;
@@ -660,8 +556,8 @@ BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
     return nullptr;
   }
   if (pending_writes_.count(key) > 0) {
-    // Write-behind barrier: the block is in flight to disk; a prefetch
-    // read now could observe the pre-write image. Decline — prefetch is
+    // Write barrier: the block is in flight to disk; a prefetch read now
+    // could observe the pre-write image. Decline — prefetch is
     // opportunistic and the consumer's Fetch barrier handles the wait.
     ++stats_.prefetch_declined;
     return nullptr;
@@ -672,34 +568,29 @@ BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
     // pool hit, so such frames are common). Steal the frame in place: the
     // caller's dependence check guarantees the disk copy is current, and
     // the pending-table in the executor routes every consumer access to
-    // the completion. Pinned, retained, dirty, or prefetch-owned frames
-    // are untouchable — decline instead.
+    // the completion. Pinned, retained, or prefetch-owned frames are
+    // untouchable — decline instead.
     Frame& f = it->second;
-    if (f.state != FrameState::kRegular || f.pins > 0 ||
-        f.retained() || f.dirty) {
+    if (f.state != FrameState::kRegular || f.pins > 0 || f.retained()) {
       ++stats_.prefetch_declined;
       return nullptr;
     }
     MutateTracked(&f, [&] { f.state = FrameState::kPrefetching; });
-    f.store = store;
     prefetch_bytes_ += static_cast<int64_t>(f.data.size());
     ++stats_.prefetch_issued;
     policy_->OnTouch(key);
     return &f;
   }
-  if (!EnsureCapacityLocked(lock, bytes, /*for_prefetch=*/true).ok()) {
+  if (!EnsureCapacityLocked(bytes).ok()) {
     ++stats_.prefetch_declined;
     return nullptr;
   }
-  // A prefetch-driven eviction never spills, so the lock was never
-  // dropped: no concurrent frame for `key` can have appeared.
   Frame f;
   f.array_id = array_id;
   f.block = block;
   f.data.resize(static_cast<size_t>(bytes));
   RIOT_DCHECK(IsAligned(f.data.data()))
       << "frame buffer not cache-line aligned";
-  f.store = store;
   f.state = FrameState::kPrefetching;
   used_bytes_ += bytes;
   prefetch_bytes_ += bytes;
@@ -787,27 +678,6 @@ int64_t BufferPool::DropArrayFrames(int array_id) {
   return kept;
 }
 
-Status BufferPool::FlushAll() {
-  UniqueMutexLock lock(&mu_);
-  Status first = DrainWritebacksLocked(lock);
-  for (auto& [key, f] : frames_) {
-    RIOT_CHECK(f.state != FrameState::kPrefetching)
-        << "FlushAll with a prefetch in flight";
-    if (f.dirty && f.store != nullptr) {
-      Status st = f.store->WriteBlock(f.block, f.data.data());
-      if (!st.ok() && first.ok()) first = st;
-      if (st.ok()) f.dirty = false;
-    }
-  }
-  RIOT_RETURN_NOT_OK(first);
-  frames_.clear();
-  policy_->OnClear();
-  used_bytes_ = 0;
-  required_bytes_ = 0;
-  prefetch_bytes_ = 0;
-  return Status::OK();
-}
-
 int64_t BufferPool::used_bytes() const {
   MutexLock lock(&mu_);
   return used_bytes_;
@@ -839,7 +709,6 @@ BufferPoolSnapshot BufferPool::Snapshot() const {
   s.used_bytes = used_bytes_;
   s.required_bytes = required_bytes_;
   s.prefetch_bytes = prefetch_bytes_;
-  s.writeback_inflight_bytes = writeback_inflight_bytes_;
   for (const auto& [key, pw] : pending_writes_) {
     // Landed successfully but not yet reaped: no longer pending.
     if (!(pw->done && pw->status.ok())) ++s.pending_writebacks;

@@ -12,27 +12,19 @@
 // Victim selection is O(log n): the policies index evictable frames
 // directly instead of scanning the frame table past pinned/retained ones.
 //
-// Dirty victims are written back through their BlockStore (spilling — a
-// correct plan never triggers it, and tests assert so via the spill
-// counters). With SetWriteBehind(io) the write-back is asynchronous: the
-// victim's buffer is handed to `io`'s write workers and the pool moves
-// on. The workers call the store without a lock of their own — store
-// calls on distinct blocks may overlap (storage/block_store.h) — so the
-// pool orders calls on one block itself: a write barrier makes any later
-// Fetch of an in-flight block wait for the pending write, and a later
-// prefetch of it is declined, so async readers can never observe the
-// pre-write disk image or tear the buffer.
-// In-flight write-behind buffers live outside the cap, bounded by a budget
-// (cap/4); evictions past the budget stall until writes land
-// (BufferPoolStats::writeback_stall_seconds). Without write-behind the
-// historical synchronous write-back is preserved exactly.
-//
-// The same barrier covers write-through behind the caller
-// (WriteThroughAsync): the executor hands each freshly computed output
-// frame to the write workers instead of writing it on its own thread. The
-// frame stays resident and unevictable until its write lands, so bytes in
-// flight count against the cap (though not as required bytes), and a
-// later disk read, prefetch or rewrite of the block waits for the write.
+// The pool makes no store call of its own. A caller that creates a frame
+// on a miss fills it (and publishes it with MarkLoaded when the fetch
+// coalesces loads), and every block write is one the caller asks for:
+// synchronous, or write-through behind the caller (WriteThroughAsync). The
+// executor hands each freshly computed output frame to the write workers
+// instead of writing it on its own thread. The frame stays resident and
+// unevictable until its write lands, so bytes in flight count against the
+// cap (though not as required bytes). The workers call the store without a
+// lock of their own — store calls on distinct blocks may overlap
+// (storage/block_store.h) — so the pool orders calls on one block itself:
+// a write barrier makes a later disk read, prefetch or rewrite of the
+// block wait for the pending write (AwaitWrite; a prefetch is declined),
+// so readers never observe the pre-write disk image or tear the buffer.
 // A frame another holder also pins is never written behind: that holder
 // may still mutate it.
 //
@@ -49,12 +41,9 @@
 // exec_threads > 1) concurrently fetch, pin, and retain.
 // Prefetch has its own frame lifecycle (kPrefetching -> kPrefetched ->
 // adopted or abandoned) and its own budget, and is *never* allowed to
-// violate the cap, evict a pinned/retained/in-flight frame, or force a
-// dirty write-back — a prefetch that would need any of those is declined.
-// The pool's own synchronous store calls (Fetch with load=true, a
-// synchronous dirty write-back, FlushAll) run beside the I/O workers'
-// calls on the same store; the load latch and the write barrier keep any
-// two of them off the same block at once.
+// violate the cap or evict a pinned/retained/in-flight frame — a prefetch
+// that would need either is declined. The load latch and the write
+// barrier keep any two store calls off the same block at once.
 #ifndef RIOTSHARE_STORAGE_BUFFER_POOL_H_
 #define RIOTSHARE_STORAGE_BUFFER_POOL_H_
 
@@ -130,11 +119,8 @@ struct BufferPoolStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t evictions = 0;
-  int64_t dirty_writebacks = 0;  // spills: should be 0 for in-cap plans
-  int64_t async_writebacks = 0;  // spills handed to write-behind workers
-  /// Wall time callers stalled on in-flight write-behind: Fetch barriers
-  /// on a pending block plus evictions waiting out the write-behind
-  /// buffer budget.
+  /// Wall time callers stalled on the write barrier, waiting for an
+  /// in-flight write-through of a block to land.
   double writeback_stall_seconds = 0.0;
   int64_t prefetch_issued = 0;    // TryStartPrefetch successes
   int64_t prefetch_declined = 0;  // no budget/room without touching
@@ -149,8 +135,8 @@ struct BufferPoolStats {
 /// \brief One consistent view of the pool: counters plus the frame-state
 /// aggregates they are usually compared against, all captured under a
 /// single lock acquisition. Reading stats() and used_bytes()/
-/// PinnedFrames() as separate calls can interleave with write-behind
-/// callbacks and concurrent fetches, observing counters mid-update
+/// PinnedFrames() as separate calls can interleave with write-through
+/// completions and concurrent fetches, observing counters mid-update
 /// relative to frame state; invariant checks must go through Snapshot().
 struct BufferPoolSnapshot {
   BufferPoolStats stats;
@@ -158,7 +144,6 @@ struct BufferPoolSnapshot {
   int64_t required_bytes = 0;       // pinned or retained regular frames
   int64_t prefetch_bytes = 0;       // frames in prefetch states
   int64_t pinned_frames = 0;
-  int64_t writeback_inflight_bytes = 0;
   int64_t pending_writebacks = 0;   // in-flight or failed-and-poisoned
 };
 
@@ -196,7 +181,6 @@ class BufferPool {
     /// 64-byte-aligned (util/aligned.h): the packed SIMD kernels view frame
     /// payloads as double matrices and rely on cache-line-aligned starts.
     AlignedBuffer data;
-    bool dirty = false;
     int pins = 0;
     /// Per-owner keep-until-reuse obligations; empty = unretained. At most
     /// one entry per owner (Retain merges by max until_group).
@@ -212,7 +196,6 @@ class BufferPool {
       for (const Retention& r : retentions) m = std::max(m, r.until_group);
       return m;
     }
-    BlockStore* store = nullptr;  // for dirty write-back on eviction
     FrameState state = FrameState::kRegular;
     /// Contents are garbage (e.g. a failed load): the frame is dropped when
     /// its last pin releases, and Fetch refuses to hand it out meanwhile.
@@ -239,19 +222,19 @@ class BufferPool {
   /// behavior, bit-for-bit).
   explicit BufferPool(int64_t cap_bytes,
                       std::unique_ptr<ReplacementPolicy> policy = nullptr);
-  /// Drains any in-flight write-behind (failures were already recorded;
-  /// call DrainWritebacks first to observe them).
+  /// Waits out any write still in flight (a backstop: each run drains its
+  /// own writes with DrainWriteThroughs, which reports their failures).
   ~BufferPool();
 
-  /// Returns the frame for (array_id, block), fetching from `store` on miss
-  /// when `load` is set (otherwise the frame starts zeroed). The returned
-  /// frame is pinned; call Unpin when done. Must not be called for a block
-  /// currently in a prefetch state (adopt or abandon it first).
+  /// Returns the frame for (array_id, block), pinned; call Unpin when done.
+  /// A miss creates a zero-filled frame, which the caller fills. Must not be
+  /// called for a block currently in a prefetch state (adopt or abandon it
+  /// first).
   /// `was_resident` (optional) reports whether the frame already existed:
   /// concurrent consumers need the hit/miss answer atomically with the pin
   /// (a separate Probe could race with an eviction in between).
-  /// A miss on a block whose write-behind is still in flight waits for the
-  /// pending write first (and surfaces its error, if it failed).
+  /// A miss on a block whose write failed surfaces the write's error until
+  /// the writer drains it.
   /// `account`, when set, charges the session ledger for newly-required
   /// bytes and refuses the fetch (kResourceExhausted) past its budget.
   /// `coalesce_loads` (every executor fetch) makes a miss mark the frame
@@ -260,7 +243,6 @@ class BufferPool {
   /// so two workers or sessions fetching the same block coalesce on one
   /// disk read.
   Result<Frame*> Fetch(int array_id, int64_t block, int64_t bytes,
-                       BlockStore* store, bool load,
                        bool* was_resident = nullptr,
                        PoolAccount* account = nullptr,
                        bool coalesce_loads = false) EXCLUDES(mu_);
@@ -301,10 +283,6 @@ class BufferPool {
   /// programs' numberings) are untouched.
   void ReleaseRetainedBefore(int64_t group, PoolAccount* owner = nullptr)
       EXCLUDES(mu_);
-  /// Clears the dirty flag under the pool lock (the executor's
-  /// write-through makes the in-memory copy match disk; worker threads must
-  /// not touch the flag unsynchronized while eviction scans run).
-  void MarkClean(Frame* frame) EXCLUDES(mu_);
 
   // ------------------------------------------------- replacement policy
   ReplacementKind replacement_kind() const EXCLUDES(mu_);
@@ -327,17 +305,7 @@ class BufferPool {
   void AdvanceReplacementClock(const std::shared_ptr<const BlockUseMap>& uses,
                                int64_t pos) EXCLUDES(mu_);
 
-  // --------------------------------------------------------- write-behind
-  /// Routes dirty eviction write-backs through `io`'s write workers
-  /// instead of writing synchronously under the pool lock. The caller must
-  /// DrainWritebacks() and SetWriteBehind(nullptr) before destroying `io`.
-  void SetWriteBehind(IoPool* io) EXCLUDES(mu_);
-  /// Waits for every in-flight write-behind; returns the first failure
-  /// (clearing it, so the pool is reusable afterwards). A failed
-  /// write-behind also poisons its block until drained: a Fetch of it
-  /// returns the write's error rather than silently rereading stale disk.
-  Status DrainWritebacks() EXCLUDES(mu_);
-
+  // ------------------------------------------------------- write-through
   /// Write-through behind the caller: hands the pinned `frame` to `io`'s
   /// write workers (store->WriteBlock on `channel`) and returns true at
   /// once. The caller keeps and releases its own pin as usual; the write
@@ -376,19 +344,18 @@ class BufferPool {
 
   // ------------------------------------------------------- prefetch path
   /// Reserves a kPrefetching frame for (array_id, block) so an I/O worker
-  /// can fill frame->data. Declines (returns nullptr) when a frame for the
-  /// block already exists in any state, when a write-behind of the block is
-  /// still in flight, when the prefetch budget is exhausted, or when making
-  /// room would evict anything but a clean, unpinned, unretained regular
-  /// frame. Never triggers a dirty write-back. `required_bytes` is what
-  /// the caller's plan requires resident while this frame waits for its
-  /// consumer; it is charged against the budget next to the lookahead, so
-  /// the prefetch fits only if lookahead + bytes + required_bytes stays
-  /// within the budget. Callers whose requirement is already reserved out
-  /// of the budget (sessions) pass 0.
+  /// can fill frame->data; an idle frame of the block is taken over in
+  /// place. Declines (returns nullptr) when the block's frame is pinned,
+  /// retained or in a prefetch state, when a write of the block is still in
+  /// flight, when the prefetch budget is exhausted, or when making room
+  /// would evict anything but an unpinned, unretained regular frame.
+  /// `required_bytes` is what the caller's plan requires resident while
+  /// this frame waits for its consumer; it is charged against the budget
+  /// next to the lookahead, so the prefetch fits only if lookahead +
+  /// bytes + required_bytes stays within the budget. Callers whose
+  /// requirement is already reserved out of the budget (sessions) pass 0.
   Frame* TryStartPrefetch(int array_id, int64_t block, int64_t bytes,
-                          BlockStore* store, int64_t required_bytes = 0)
-      EXCLUDES(mu_);
+                          int64_t required_bytes = 0) EXCLUDES(mu_);
   /// I/O completed: kPrefetching -> kPrefetched.
   void CompletePrefetch(Frame* frame) EXCLUDES(mu_);
   /// Hands a kPrefetched frame to the execution thread: the frame becomes
@@ -412,24 +379,20 @@ class BufferPool {
       EXCLUDES(mu_);
   int64_t prefetch_bytes() const EXCLUDES(mu_);
 
-  /// Drops the frame for (array_id, block) without write-back, if present,
-  /// unpinned, unretained, and in the regular state; no-op otherwise. The
-  /// executor uses this at end of run to drop frames whose contents
-  /// legitimately diverged from disk (saved/elided writes), so a shared
-  /// pool only ever carries cache that mirrors the stores.
+  /// Drops the frame for (array_id, block), if present, unpinned,
+  /// unretained, and in the regular state with no write in flight; no-op
+  /// otherwise. The executor uses this at end of run to drop frames whose
+  /// contents legitimately diverged from disk (saved/elided writes), so a
+  /// shared pool only ever carries cache that mirrors the stores.
   void Drop(int array_id, int64_t block) EXCLUDES(mu_);
 
-  /// Drops every droppable (clean, unpinned, unretained, regular) frame of
-  /// `array_id`. The session runtime calls this before a tenant's
-  /// BlockStore is destroyed so a later store at the same address can
-  /// never alias stale cache; callers must DrainWritebacks first if the
-  /// array may have dirty history. Returns the number of frames of the
-  /// array that could NOT be dropped (still pinned/retained/in prefetch).
+  /// Drops every droppable (unpinned, unretained, regular, not loading, no
+  /// write in flight) frame of `array_id`. The session runtime calls this
+  /// before a tenant's BlockStore is destroyed so a later store at the same
+  /// address can never alias stale cache. Returns the number of frames of
+  /// the array that could NOT be dropped (still pinned/retained/in
+  /// prefetch/in flight).
   int64_t DropArrayFrames(int array_id) EXCLUDES(mu_);
-
-  /// Drops a clean frame / writes back a dirty one, then drops it. Drains
-  /// in-flight write-behind first.
-  Status FlushAll() EXCLUDES(mu_);
 
   int64_t used_bytes() const EXCLUDES(mu_);
   /// Number of frames currently pinned (pins > 0). A completed Executor::Run
@@ -445,49 +408,47 @@ class BufferPool {
   BufferPoolStats stats() const EXCLUDES(mu_);
   /// Counters and frame-state aggregates under ONE lock acquisition (see
   /// BufferPoolSnapshot) — the only way to compare them consistently while
-  /// I/O workers and write-behind callbacks are live.
+  /// I/O workers and write-through completions are live.
   BufferPoolSnapshot Snapshot() const EXCLUDES(mu_);
 
  private:
   using Key = PoolKey;
 
-  /// Fields are guarded by the owning pool's mu_ (the write-behind
-  /// completion callback mutates them under it). Not annotated: a nested
-  /// type cannot name the outer instance's mutex.
+  /// Fields are guarded by the owning pool's mu_ (the write's completion
+  /// callback mutates them under it). Not annotated: a nested type cannot
+  /// name the outer instance's mutex.
   struct PendingWrite {
-    AlignedBuffer data;  // the evicted frame's buffer, moved in (empty for
-                         // a write-through, which writes from its frame)
     Status status;
     bool done = false;    // landed (set by the completion callback)
     bool reaped = false;  // landing bookkeeping done (ReapLandedLocked)
-    WriteThroughLedger* ledger = nullptr;  // write-through owner
-    Frame* frame = nullptr;                // write-through source frame
+    WriteThroughLedger* ledger = nullptr;  // owning run
+    Frame* frame = nullptr;                // source frame
   };
 
-  /// The *Locked helpers take the caller's scoped lock where they may have
-  /// to drop and re-acquire it (cv waits); REQUIRES(mu_) makes the analysis
+  /// Evicts until `incoming_bytes` more fit under the cap, or fails with
+  /// kResourceExhausted when no evictable frame is left. Never drops the
+  /// lock.
+  Status EnsureCapacityLocked(int64_t incoming_bytes) REQUIRES(mu_);
+  /// The *Locked helpers below take the caller's scoped lock because they
+  /// drop and re-acquire it (cv waits); REQUIRES(mu_) makes the analysis
   /// enforce that every caller actually holds it.
-  Status EnsureCapacityLocked(UniqueMutexLock& lock, int64_t incoming_bytes,
-                              bool for_prefetch) REQUIRES(mu_);
-  /// Waits out an in-flight write-behind of `key` (returns its error if it
-  /// failed). No-op when none is pending.
-  Status WaitWritebackLocked(UniqueMutexLock& lock, const Key& key)
-      REQUIRES(mu_);
-  /// Blocks until every in-flight write-behind has completed (successfully
-  /// or not; completed entries may remain to be collected).
+  /// Waits out an in-flight write of `key` (returns its error if it
+  /// failed). No-op when none is pending. `key` is a copy: the wait drops
+  /// the lock, and another thread's reap may free the ledger entry a
+  /// caller would otherwise pass by reference.
+  Status WaitWritebackLocked(UniqueMutexLock& lock, Key key) REQUIRES(mu_);
+  /// Blocks until every in-flight write has completed (successfully or
+  /// not; completed entries may remain to be collected).
   void WaitAllWritebacksLocked(UniqueMutexLock& lock) REQUIRES(mu_);
-  /// WaitAllWritebacksLocked + collect the first failure and clear the
-  /// pending table.
-  Status DrainWritebacksLocked(UniqueMutexLock& lock) REQUIRES(mu_);
   /// Hands `pw`'s write to the write workers. The completion only marks it
   /// landed (no allocation on the worker); ReapLandedLocked does the rest.
   void SubmitWriteLocked(IoPool* io, BlockStore* store, int64_t block,
                          const void* buf, std::shared_ptr<PendingWrite> pw,
                          int channel) REQUIRES(mu_);
   /// Landing bookkeeping for every write that landed since the last call:
-  /// erases successful entries (failed ones stay as the block's poison),
-  /// frees a failed spill's buffer, and releases write-through frames into
-  /// their ledgers. Runs on consumer threads only.
+  /// erases successful entries (failed ones stay as the block's poison)
+  /// and releases the written frames into their ledgers. Runs on consumer
+  /// threads only.
   void ReapLandedLocked() REQUIRES(mu_);
   void EraseFrameLocked(Frame* frame) REQUIRES(mu_);
   static bool CountsAsRequired(const Frame& f) {
@@ -576,15 +537,13 @@ class BufferPool {
   bool prefetch_counts_write_held_ GUARDED_BY(mu_) = false;
   // Frames held resident only by in-flight write-throughs (IsWriteHeld).
   int64_t write_held_bytes_ GUARDED_BY(mu_) = 0;
-  /// Frame *metadata* (pins, retentions, state, dirty, ...) is mu_-guarded
+  /// Frame *metadata* (pins, retentions, state, writer, ...) is mu_-guarded
   /// throughout; frames_ itself carries the annotation. Frame::data payloads
   /// are deliberately read and written by pin holders without the lock —
   /// a pinned frame's buffer is stable (never evicted, never refilled), so
   /// the pin itself is the synchronization.
   std::map<Key, Frame> frames_ GUARDED_BY(mu_);
   std::unique_ptr<ReplacementPolicy> policy_ GUARDED_BY(mu_);
-  IoPool* write_io_ GUARDED_BY(mu_) = nullptr;
-  int64_t writeback_inflight_bytes_ GUARDED_BY(mu_) = 0;
   std::map<Key, std::shared_ptr<PendingWrite>> pending_writes_ GUARDED_BY(mu_);
   // Entries of pending_writes_ that are done but not yet reaped.
   int64_t landed_unreaped_ GUARDED_BY(mu_) = 0;

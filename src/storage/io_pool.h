@@ -9,10 +9,9 @@
 // BlockStore calls on distinct blocks are safe in parallel (see
 // storage/block_store.h), and two calls on the same block are ordered by
 // the caller — the BufferPool's load latch and write barrier, and the
-// executor's DAG edges. The BufferPool's write-behind hands
-// write-throughs (serial and session runs) and dirty eviction victims
-// (spills) to the same workers via WriteBlockAsync, whose completion is
-// delivered through a caller callback instead of the read completion
+// executor's DAG edges. The BufferPool hands write-throughs (serial and
+// session runs) to the same workers via WriteBlockAsync, whose completion
+// is delivered through a caller callback instead of the read completion
 // queue (the queue's consumers only ever expect reads); the pool's write
 // barrier, not submission order, orders later reads of a block after its
 // write.
@@ -90,7 +89,7 @@ class IoPool {
   /// valid and untouched until then. Writes never enter the read
   /// completion queue — WaitCompletion/outstanding() see reads only — so
   /// read consumers (the executor's prefetcher) and write producers (the
-  /// BufferPool's write-behind) can share one pool without seeing each
+  /// BufferPool's write-throughs) can share one pool without seeing each
   /// other's completions. `on_done` runs without pool-internal locks held;
   /// it may take its own locks but must not call back into this IoPool,
   /// and it should not allocate (see the header comment). The callback

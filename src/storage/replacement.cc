@@ -53,20 +53,10 @@ class LruPolicy : public ReplacementPolicy {
     last_seq_.erase(it);
   }
 
-  void OnClear() override {
-    last_seq_.clear();
-    evictable_.clear();
-  }
-
-  bool PickVictim(const std::function<bool(const PoolKey&)>& usable,
-                  PoolKey* victim) override {
-    for (const auto& [seq, key] : evictable_) {
-      if (usable(key)) {
-        *victim = key;
-        return true;
-      }
-    }
-    return false;
+  bool PickVictim(PoolKey* victim) override {
+    if (evictable_.empty()) return false;
+    *victim = evictable_.begin()->second;
+    return true;
   }
 
  private:
@@ -133,14 +123,7 @@ class ScheduleOptPolicy : public ReplacementPolicy {
     last_seq_.erase(key);
   }
 
-  void OnClear() override {
-    last_seq_.clear();
-    candidates_.clear();
-    order_.clear();
-  }
-
-  bool PickVictim(const std::function<bool(const PoolKey&)>& usable,
-                  PoolKey* victim) override {
+  bool PickVictim(PoolKey* victim) override {
     if (bound_.size() >= 2) {
       // Merged mode: normalized distances cached before the latest clock
       // advance are incomparable with fresh ones; rebuild once per
@@ -153,14 +136,9 @@ class ScheduleOptPolicy : public ReplacementPolicy {
       RefreshStale();
     }
     // Farthest score first; among equals, least recently touched.
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      const PoolKey& key = std::get<2>(*it);
-      if (usable(key)) {
-        *victim = key;
-        return true;
-      }
-    }
-    return false;
+    if (order_.empty()) return false;
+    *victim = std::get<2>(*order_.rbegin());
+    return true;
   }
 
   void BindUsePlan(std::shared_ptr<const BlockUseMap> uses) override {

@@ -52,7 +52,6 @@
 #define RIOTSHARE_STORAGE_REPLACEMENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -88,19 +87,14 @@ class ReplacementPolicy {
   /// pool never reports the same state twice in a row.
   virtual void OnEvictable(const PoolKey& key) = 0;
   virtual void OnProtected(const PoolKey& key) = 0;
-  /// The frame left the pool (evicted, dropped, abandoned, flushed).
+  /// The frame left the pool (evicted, dropped, abandoned).
   /// Called in every state, evictable or not.
   virtual void OnErase(const PoolKey& key) = 0;
-  /// Every tracked frame left the pool at once (FlushAll).
-  virtual void OnClear() = 0;
 
-  /// Picks the preferred victim among evictable frames for which `usable`
-  /// returns true (the pool filters e.g. dirty frames during a
-  /// prefetch-driven eviction, which must never force a spill). Returns
-  /// false when no usable candidate exists. Must not mutate policy state
-  /// observably: the pool follows up with OnErase for the chosen victim.
-  virtual bool PickVictim(const std::function<bool(const PoolKey&)>& usable,
-                          PoolKey* victim) = 0;
+  /// Picks the preferred victim among evictable frames. Returns false when
+  /// there is none. Must not mutate policy state observably: the pool
+  /// follows up with OnErase for the chosen victim.
+  virtual bool PickVictim(PoolKey* victim) = 0;
 
   // ----------------------------------------------- schedule-driven hooks
   // No-ops for history-based policies; ScheduleOpt overrides.

@@ -189,7 +189,6 @@ TEST(CacheSimTest, LooseCapMatchesLinearModelAndTightCapAddsReads) {
   EXPECT_EQ(loose->block_reads, c.block_reads);
   EXPECT_EQ(loose->block_writes, c.block_writes);
   EXPECT_EQ(loose->evictions, 0);
-  EXPECT_EQ(loose->dirty_writebacks, 0);
   // The opportunistic ablation with unbounded memory reads each block at
   // most once; a tight cap must cost strictly more reads under LRU.
   sim.opportunistic = true;

@@ -119,7 +119,6 @@ TEST(ExecutorTest, SharedPlanSkipsSavedIo) {
   const int64_t blk = w.program.array(0).BlockBytes();
   EXPECT_EQ(stats->bytes_read, (2 * 2 * 3 + 3 * 1 * 2) * blk);
   EXPECT_EQ(stats->bytes_written, 2 * 1 * blk);
-  EXPECT_EQ(stats->pool.dirty_writebacks, 0);
 }
 
 TEST(ExecutorTest, MemoryCapViolationSurfacesAsError) {

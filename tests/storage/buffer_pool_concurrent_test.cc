@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "storage/buffer_pool.h"
+#include "testing/pool_fetch.h"
 
 namespace riot {
 namespace {
@@ -50,7 +51,7 @@ TEST_F(BufferPoolConcurrentTest, FetchUnpinRetainStress) {
     std::uniform_int_distribution<int64_t> pick(0, 31);
     for (int i = 0; i < kIters && !failed.load(); ++i) {
       int64_t b = pick(rng);
-      auto f = pool.Fetch(0, b, kBlock, store_.get(), /*load=*/true);
+      auto f = FetchFilled(&pool, store_.get(), 0, b);
       if (!f.ok()) {
         // Transient exhaustion from overlapping retentions is legal; the
         // pool must fail cleanly, not corrupt state.
@@ -84,7 +85,7 @@ TEST_F(BufferPoolConcurrentTest, FetchUnpinRetainStress) {
     std::uniform_int_distribution<int64_t> pick(32, kNumBlocks - 1);
     for (int i = 0; i < kIters && !failed.load(); ++i) {
       int64_t b = pick(rng);
-      BufferPool::Frame* f = pool.TryStartPrefetch(0, b, kBlock, store_.get());
+      BufferPool::Frame* f = pool.TryStartPrefetch(0, b, kBlock);
       if (f == nullptr) continue;  // declined: present, budget, or no room
       if (!store_->ReadBlock(b, f->data.data()).ok()) failed = true;
       pool.CompletePrefetch(f);
@@ -110,19 +111,17 @@ TEST_F(BufferPoolConcurrentTest, FetchUnpinRetainStress) {
   // Everything is unpinned; retentions may linger — release them all.
   pool.ReleaseRetainedBefore(1 << 20);
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
-  // The pool never spilled: stress never dirties a frame.
-  EXPECT_EQ(pool.stats().dirty_writebacks, 0);
 }
 
 TEST_F(BufferPoolConcurrentTest, MaintainedRequiredBytesMatchesScan) {
   // Single-threaded cross-check of the O(1) counter against ground truth.
   BufferPool pool(32 * kBlock);
-  auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);   // pinned
-  auto b = pool.Fetch(0, 1, kBlock, store_.get(), true);
+  auto a = pool.Fetch(0, 0, kBlock);  // pinned
+  auto b = pool.Fetch(0, 1, kBlock);
   pool.Retain(*b, 3);
-  pool.Unpin(*b);                                          // retained only
-  auto c = pool.Fetch(0, 2, kBlock, store_.get(), true);
-  pool.Unpin(*c);                                          // neither
+  pool.Unpin(*b);                     // retained only
+  auto c = pool.Fetch(0, 2, kBlock);
+  pool.Unpin(*c);                     // neither
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 2 * kBlock);
   pool.ReleaseRetainedBefore(4);
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 1 * kBlock);
@@ -130,7 +129,7 @@ TEST_F(BufferPoolConcurrentTest, MaintainedRequiredBytesMatchesScan) {
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
   // Prefetch frames never count as required.
   pool.SetPrefetchBudget(8 * kBlock);
-  BufferPool::Frame* p = pool.TryStartPrefetch(0, 9, kBlock, store_.get());
+  BufferPool::Frame* p = pool.TryStartPrefetch(0, 9, kBlock);
   ASSERT_NE(p, nullptr);
   pool.CompletePrefetch(p);
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
@@ -144,30 +143,30 @@ TEST_F(BufferPoolConcurrentTest, PrefetchRespectsBudgetAndCap) {
   BufferPool pool(4 * kBlock);
   pool.SetPrefetchBudget(3 * kBlock);
   // Two pinned consumer frames plus two prefetches fill the cap.
-  auto a = pool.Fetch(0, 10, kBlock, store_.get(), true);
-  auto b = pool.Fetch(0, 11, kBlock, store_.get(), true);
+  auto a = pool.Fetch(0, 10, kBlock);
+  auto b = pool.Fetch(0, 11, kBlock);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  BufferPool::Frame* p1 = pool.TryStartPrefetch(0, 1, kBlock, store_.get());
-  BufferPool::Frame* p2 = pool.TryStartPrefetch(0, 2, kBlock, store_.get());
+  BufferPool::Frame* p1 = pool.TryStartPrefetch(0, 1, kBlock);
+  BufferPool::Frame* p2 = pool.TryStartPrefetch(0, 2, kBlock);
   ASSERT_NE(p1, nullptr);
   ASSERT_NE(p2, nullptr);
   // Budget would allow a third prefetch, but every resident frame is
   // pinned or prefetch-owned: no room without evicting a protected frame,
   // so the prefetch is declined rather than erroring or evicting.
-  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, store_.get()), nullptr);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock), nullptr);
   EXPECT_EQ(pool.stats().prefetch_declined, 1);
   // An abandoned prefetch is dropped outright, freeing both budget and
   // cap room for the next one.
   pool.CompletePrefetch(p1);
   pool.AbandonPrefetch(p1);
-  BufferPool::Frame* p4 = pool.TryStartPrefetch(0, 4, kBlock, store_.get());
+  BufferPool::Frame* p4 = pool.TryStartPrefetch(0, 4, kBlock);
   ASSERT_NE(p4, nullptr);
   EXPECT_EQ(pool.Probe(0, 1), nullptr);  // p1's block is gone
   EXPECT_LE(pool.used_bytes(), 4 * kBlock);
   // Budget decline: shrink the budget below what is outstanding.
   pool.SetPrefetchBudget(kBlock);
-  EXPECT_EQ(pool.TryStartPrefetch(0, 5, kBlock, store_.get()), nullptr);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 5, kBlock), nullptr);
   pool.Unpin(*a);
   pool.Unpin(*b);
   pool.CompletePrefetch(p2);
@@ -183,23 +182,18 @@ TEST_F(BufferPoolConcurrentTest, PrefetchChargesCallersRequirement) {
   // of 2 leaves room for 2 prefetched blocks, and one of 3 for none more.
   BufferPool pool(8 * kBlock);
   pool.SetPrefetchBudget(4 * kBlock);
-  BufferPool::Frame* p1 =
-      pool.TryStartPrefetch(0, 1, kBlock, store_.get(), 2 * kBlock);
-  BufferPool::Frame* p2 =
-      pool.TryStartPrefetch(0, 2, kBlock, store_.get(), 2 * kBlock);
+  BufferPool::Frame* p1 = pool.TryStartPrefetch(0, 1, kBlock, 2 * kBlock);
+  BufferPool::Frame* p2 = pool.TryStartPrefetch(0, 2, kBlock, 2 * kBlock);
   ASSERT_NE(p1, nullptr);
   ASSERT_NE(p2, nullptr);
-  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, store_.get(), 2 * kBlock),
-            nullptr);
-  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, store_.get(), 3 * kBlock),
-            nullptr);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, 2 * kBlock), nullptr);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, 3 * kBlock), nullptr);
   EXPECT_EQ(pool.stats().prefetch_declined, 2);
   // Once the outstanding lookahead is adopted, the same requirement
   // admits lookahead again.
   pool.CompletePrefetch(p1);
   pool.Unpin(pool.AdoptPrefetched(p1));
-  EXPECT_NE(pool.TryStartPrefetch(0, 3, kBlock, store_.get(), 2 * kBlock),
-            nullptr);
+  EXPECT_NE(pool.TryStartPrefetch(0, 3, kBlock, 2 * kBlock), nullptr);
   EXPECT_EQ(pool.prefetch_bytes(), 2 * kBlock);
 }
 

@@ -28,19 +28,36 @@ class BufferPoolTest : public ::testing::Test {
 };
 
 TEST_F(BufferPoolTest, FetchLoadsFromStore) {
+  // The creator of a frame fills it from the store and publishes it; a
+  // later fetch of the block is then a hit on the loaded contents.
   BufferPool pool(1024);
-  auto f = pool.Fetch(0, 7, kBlock, store_.get(), /*load=*/true);
+  bool resident = true;
+  auto f = pool.Fetch(0, 7, kBlock, &resident, nullptr,
+                      /*coalesce_loads=*/true);
   ASSERT_TRUE(f.ok());
-  EXPECT_EQ((*f)->data[0], 7);
-  EXPECT_EQ(pool.stats().misses, 1);
+  EXPECT_FALSE(resident);
+  EXPECT_TRUE((*f)->loading);
+  ASSERT_TRUE(store_->ReadBlock(7, (*f)->data.data()).ok());
+  pool.MarkLoaded(*f);
+  EXPECT_FALSE((*f)->loading);
   pool.Unpin(*f);
+  auto again = pool.Fetch(0, 7, kBlock, &resident, nullptr,
+                          /*coalesce_loads=*/true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(resident);
+  EXPECT_EQ(*again, *f);
+  EXPECT_EQ((*again)->data[0], 7);
+  EXPECT_EQ((*again)->data[kBlock - 1], 7);
+  EXPECT_EQ(pool.stats().misses, 1);
+  EXPECT_EQ(pool.stats().hits, 1);
+  pool.Unpin(*again);
 }
 
 TEST_F(BufferPoolTest, SecondFetchHits) {
   BufferPool pool(1024);
-  auto f1 = pool.Fetch(0, 3, kBlock, store_.get(), true);
+  auto f1 = pool.Fetch(0, 3, kBlock);
   pool.Unpin(*f1);
-  auto f2 = pool.Fetch(0, 3, kBlock, store_.get(), true);
+  auto f2 = pool.Fetch(0, 3, kBlock);
   EXPECT_EQ(pool.stats().hits, 1);
   EXPECT_EQ(*f1, *f2);  // same frame
   pool.Unpin(*f2);
@@ -49,27 +66,27 @@ TEST_F(BufferPoolTest, SecondFetchHits) {
 TEST_F(BufferPoolTest, CapTriggersLruEviction) {
   BufferPool pool(3 * kBlock);
   for (int64_t b = 0; b < 3; ++b) {
-    auto f = pool.Fetch(0, b, kBlock, store_.get(), true);
+    auto f = pool.Fetch(0, b, kBlock);
     pool.Unpin(*f);
   }
   EXPECT_EQ(pool.used_bytes(), 3 * kBlock);
-  auto f = pool.Fetch(0, 3, kBlock, store_.get(), true);
+  auto f = pool.Fetch(0, 3, kBlock);
   pool.Unpin(*f);
   EXPECT_EQ(pool.stats().evictions, 1);
   EXPECT_EQ(pool.used_bytes(), 3 * kBlock);
   // Block 0 was least recently used; re-fetching it must miss.
-  auto f0 = pool.Fetch(0, 0, kBlock, store_.get(), true);
+  auto f0 = pool.Fetch(0, 0, kBlock);
   EXPECT_EQ(pool.stats().misses, 5);
   pool.Unpin(*f0);
 }
 
 TEST_F(BufferPoolTest, PinnedFramesAreNotEvicted) {
   BufferPool pool(2 * kBlock);
-  auto pinned = pool.Fetch(0, 0, kBlock, store_.get(), true);
-  auto f1 = pool.Fetch(0, 1, kBlock, store_.get(), true);
+  auto pinned = pool.Fetch(0, 0, kBlock);
+  auto f1 = pool.Fetch(0, 1, kBlock);
   pool.Unpin(*f1);
   // Fetching a third block must evict block 1, not the pinned block 0.
-  auto f2 = pool.Fetch(0, 2, kBlock, store_.get(), true);
+  auto f2 = pool.Fetch(0, 2, kBlock);
   pool.Unpin(*f2);
   EXPECT_EQ(pool.Probe(0, 0), *pinned);
   EXPECT_EQ(pool.Probe(0, 1), nullptr);
@@ -83,12 +100,12 @@ TEST_F(BufferPoolTest, FetchReportsResidencyFreshEachCall) {
   // caller skip loading a zero-filled frame.
   BufferPool pool(1024);
   bool resident = true;  // deliberately stale
-  auto f = pool.Fetch(0, 5, kBlock, store_.get(), /*load=*/true, &resident);
+  auto f = pool.Fetch(0, 5, kBlock, &resident);
   ASSERT_TRUE(f.ok());
   EXPECT_FALSE(resident);
   pool.Unpin(*f);
   resident = false;
-  auto f2 = pool.Fetch(0, 5, kBlock, store_.get(), /*load=*/true, &resident);
+  auto f2 = pool.Fetch(0, 5, kBlock, &resident);
   ASSERT_TRUE(f2.ok());
   EXPECT_TRUE(resident);
   pool.Unpin(*f2);
@@ -103,11 +120,10 @@ TEST_F(BufferPoolTest, DetachAccountOrphansFramesSharedWithOtherTenants) {
   BufferPool pool(1024);
   PoolAccount a;
   a.budget_bytes = 1024;
-  auto f1 = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true, nullptr,
-                       &a);
+  auto f1 = pool.Fetch(0, 0, kBlock, nullptr, &a);
   ASSERT_TRUE(f1.ok());
   EXPECT_EQ(a.charged_bytes.load(), kBlock);
-  auto f2 = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true);
+  auto f2 = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(f2.ok());   // second (anonymous) tenant, same frame
   pool.Unpin(*f1, &a);    // A's run ends; the frame stays required via f2
   EXPECT_EQ(a.charged_bytes.load(), 0);  // charge released with A's pin
@@ -127,11 +143,9 @@ TEST_F(BufferPoolTest, SharedFrameChargeTransfersToSurvivingClaimant) {
   PoolAccount a, b;
   a.budget_bytes = kBlock;  // exactly one block of budget each
   b.budget_bytes = kBlock;
-  auto fa = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true, nullptr,
-                       &a);
+  auto fa = pool.Fetch(0, 0, kBlock, nullptr, &a);
   ASSERT_TRUE(fa.ok());
-  auto fb = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true, nullptr,
-                       &b);
+  auto fb = pool.Fetch(0, 0, kBlock, nullptr, &b);
   ASSERT_TRUE(fb.ok());  // same frame, free for the second reader
   EXPECT_EQ(a.charged_bytes.load(), kBlock);
   EXPECT_EQ(b.charged_bytes.load(), 0);
@@ -140,8 +154,7 @@ TEST_F(BufferPoolTest, SharedFrameChargeTransfersToSurvivingClaimant) {
   EXPECT_EQ(b.charged_bytes.load(), kBlock);
   // A's budget is fully free again: a fetch of another block must succeed
   // with zero rejections (the old accounting would have rejected here).
-  auto fa2 = pool.Fetch(0, 1, kBlock, store_.get(), /*load=*/true, nullptr,
-                        &a);
+  auto fa2 = pool.Fetch(0, 1, kBlock, nullptr, &a);
   ASSERT_TRUE(fa2.ok());
   EXPECT_EQ(a.budget_rejections.load(), 0);
   EXPECT_EQ(a.charged_bytes.load(), kBlock);
@@ -159,14 +172,12 @@ TEST_F(BufferPoolTest, ChargeTransfersToRetentionOwnerOnUnpin) {
   PoolAccount a, b;
   a.budget_bytes = 1024;
   b.budget_bytes = 1024;
-  auto fb = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true, nullptr,
-                       &b);
+  auto fb = pool.Fetch(0, 0, kBlock, nullptr, &b);
   ASSERT_TRUE(fb.ok());
   pool.Retain(*fb, /*until_group=*/5, &b);
   pool.Unpin(*fb, &b);  // B holds via retention only; stays charged
   EXPECT_EQ(b.charged_bytes.load(), kBlock);
-  auto fa = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true, nullptr,
-                       &a);
+  auto fa = pool.Fetch(0, 0, kBlock, nullptr, &a);
   ASSERT_TRUE(fa.ok());
   EXPECT_EQ(a.charged_bytes.load(), 0);  // B already pays
   pool.ReleaseRetainedBefore(/*group=*/6, &b);  // B's claim ends
@@ -178,9 +189,9 @@ TEST_F(BufferPoolTest, ChargeTransfersToRetentionOwnerOnUnpin) {
 
 TEST_F(BufferPoolTest, AllPinnedExhaustsPool) {
   BufferPool pool(2 * kBlock);
-  auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);
-  auto b = pool.Fetch(0, 1, kBlock, store_.get(), true);
-  auto c = pool.Fetch(0, 2, kBlock, store_.get(), true);
+  auto a = pool.Fetch(0, 0, kBlock);
+  auto b = pool.Fetch(0, 1, kBlock);
+  auto c = pool.Fetch(0, 2, kBlock);
   EXPECT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
   pool.Unpin(*a);
@@ -189,25 +200,25 @@ TEST_F(BufferPoolTest, AllPinnedExhaustsPool) {
 
 TEST_F(BufferPoolTest, RetainedFramesSurviveEviction) {
   BufferPool pool(2 * kBlock);
-  auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);
+  auto a = pool.Fetch(0, 0, kBlock);
   pool.Retain(*a, /*until_group=*/5);
   pool.Unpin(*a);
-  auto b = pool.Fetch(0, 1, kBlock, store_.get(), true);
+  auto b = pool.Fetch(0, 1, kBlock);
   pool.Unpin(*b);
-  auto c = pool.Fetch(0, 2, kBlock, store_.get(), true);  // evicts 1, not 0
+  auto c = pool.Fetch(0, 2, kBlock);  // evicts 1, not 0
   pool.Unpin(*c);
   EXPECT_NE(pool.Probe(0, 0), nullptr);
   EXPECT_EQ(pool.Probe(0, 1), nullptr);
   // After the retention expires it becomes evictable.
   pool.ReleaseRetainedBefore(/*group=*/6);
-  auto d = pool.Fetch(0, 3, kBlock, store_.get(), true);
+  auto d = pool.Fetch(0, 3, kBlock);
   pool.Unpin(*d);
   EXPECT_EQ(pool.Probe(0, 0), nullptr);
 }
 
 TEST_F(BufferPoolTest, ReleaseRespectsGroupBoundary) {
   BufferPool pool(8 * kBlock);
-  auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);
+  auto a = pool.Fetch(0, 0, kBlock);
   pool.Retain(*a, 5);
   pool.Unpin(*a);
   pool.ReleaseRetainedBefore(5);  // group 5 not finished yet
@@ -216,44 +227,17 @@ TEST_F(BufferPoolTest, ReleaseRespectsGroupBoundary) {
   EXPECT_EQ((*a)->retain_until_group(), -1);
 }
 
-TEST_F(BufferPoolTest, DirtyEvictionWritesBack) {
-  BufferPool pool(1 * kBlock);
-  auto a = pool.Fetch(0, 9, kBlock, store_.get(), true);
-  (*a)->data[0] = 0xEE;
-  (*a)->dirty = true;
-  pool.Unpin(*a);
-  auto b = pool.Fetch(0, 10, kBlock, store_.get(), true);  // evicts 9
-  pool.Unpin(*b);
-  EXPECT_EQ(pool.stats().dirty_writebacks, 1);
-  std::vector<uint8_t> buf(kBlock);
-  ASSERT_TRUE(store_->ReadBlock(9, buf.data()).ok());
-  EXPECT_EQ(buf[0], 0xEE);
-}
-
 TEST_F(BufferPoolTest, PinnedOrRetainedBytes) {
   BufferPool pool(8 * kBlock);
-  auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);   // pinned
-  auto b = pool.Fetch(0, 1, kBlock, store_.get(), true);
+  auto a = pool.Fetch(0, 0, kBlock);  // pinned
+  auto b = pool.Fetch(0, 1, kBlock);
   pool.Retain(*b, 3);
-  pool.Unpin(*b);                                          // retained only
-  auto c = pool.Fetch(0, 2, kBlock, store_.get(), true);
-  pool.Unpin(*c);                                          // neither
+  pool.Unpin(*b);                     // retained only
+  auto c = pool.Fetch(0, 2, kBlock);
+  pool.Unpin(*c);                     // neither
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 2 * kBlock);
   EXPECT_EQ(pool.used_bytes(), 3 * kBlock);
   pool.Unpin(*a);
-}
-
-TEST_F(BufferPoolTest, FlushAllWritesDirtyAndClears) {
-  BufferPool pool(4 * kBlock);
-  auto a = pool.Fetch(0, 4, kBlock, store_.get(), true);
-  (*a)->data[0] = 0x77;
-  (*a)->dirty = true;
-  pool.Unpin(*a);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.used_bytes(), 0);
-  std::vector<uint8_t> buf(kBlock);
-  ASSERT_TRUE(store_->ReadBlock(4, buf.data()).ok());
-  EXPECT_EQ(buf[0], 0x77);
 }
 
 TEST_F(BufferPoolTest, FrameBuffersAreCacheLineAligned) {
@@ -264,7 +248,7 @@ TEST_F(BufferPoolTest, FrameBuffersAreCacheLineAligned) {
   static_assert(kFrameAlignment == 64, "kernel alignment contract");
   BufferPool pool(8 * kBlock);
   for (int64_t b = 0; b < 32; ++b) {  // > cap: forces eviction/realloc churn
-    auto f = pool.Fetch(0, b % 64, kBlock, store_.get(), /*load=*/true);
+    auto f = pool.Fetch(0, b % 64, kBlock);
     ASSERT_TRUE(f.ok());
     EXPECT_TRUE(IsAligned((*f)->data.data()))
         << "frame for block " << b << " at " << (*f)->data.data();
@@ -272,10 +256,11 @@ TEST_F(BufferPoolTest, FrameBuffersAreCacheLineAligned) {
   }
 }
 
-TEST_F(BufferPoolTest, FetchWithoutLoadZeroes) {
+TEST_F(BufferPoolTest, MissStartsZeroFilled) {
   BufferPool pool(4 * kBlock);
-  auto a = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/false);
+  auto a = pool.Fetch(0, 0, kBlock);
   EXPECT_EQ((*a)->data[0], 0);
+  EXPECT_FALSE((*a)->loading);  // no coalescing: nothing to publish
   pool.Unpin(*a);
 }
 

@@ -40,11 +40,24 @@ TEST(FaultInjectionTest, BufferPoolPropagatesLoadFailure) {
   auto env = NewFaultyEnv(mem.get(), 0);  // fail immediately
   auto store = OpenDaf(env.get(), "/f", 64, 8);
   BufferPool pool(1024);
-  auto f = pool.Fetch(0, 0, 64, store->get(), /*load=*/true);
-  EXPECT_FALSE(f.ok());
-  EXPECT_EQ(f.status().code(), StatusCode::kIoError);
-  // The pool must not leak a half-constructed frame.
+  // The frame's creator fills it; its read fails, so it discards the frame
+  // instead of publishing it with MarkLoaded.
+  bool resident = true;
+  auto f = pool.Fetch(0, 0, 64, &resident, nullptr, /*coalesce_loads=*/true);
+  ASSERT_TRUE(f.ok());
+  EXPECT_FALSE(resident);
+  Status st = (*store)->ReadBlock(0, (*f)->data.data());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  pool.Discard(*f);
+  // The pool must not leak the garbage frame: the next fetch misses again.
   EXPECT_EQ(pool.Probe(0, 0), nullptr);
+  EXPECT_EQ(pool.used_bytes(), 0);
+  auto again = pool.Fetch(0, 0, 64, &resident, nullptr,
+                          /*coalesce_loads=*/true);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(resident);
+  pool.Discard(*again);
+  EXPECT_EQ(pool.PinnedFrames(), 0);
 }
 
 TEST(FaultInjectionTest, ExecutorReturnsErrorMidPlan) {

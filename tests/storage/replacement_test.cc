@@ -8,37 +8,21 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/block_store.h"
 #include "storage/buffer_pool.h"
-#include "storage/env.h"
 
 namespace riot {
 namespace {
 
 class ReplacementTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    env_ = NewMemEnv();
-    auto s = OpenDaf(env_.get(), "/s", kBlock, 64);
-    ASSERT_TRUE(s.ok());
-    store_ = std::move(s).ValueOrDie();
-    std::vector<uint8_t> buf(kBlock);
-    for (int64_t b = 0; b < 64; ++b) {
-      std::fill(buf.begin(), buf.end(), static_cast<uint8_t>(b));
-      ASSERT_TRUE(store_->WriteBlock(b, buf.data()).ok());
-    }
-  }
-
   // Fetch+unpin so the block lingers as evictable cache.
   void Cache(BufferPool* pool, int64_t b) {
-    auto f = pool->Fetch(0, b, kBlock, store_.get(), /*load=*/true);
+    auto f = pool->Fetch(0, b, kBlock);
     ASSERT_TRUE(f.ok());
     pool->Unpin(*f);
   }
 
   static constexpr int64_t kBlock = 128;
-  std::unique_ptr<Env> env_;
-  std::unique_ptr<BlockStore> store_;
 };
 
 TEST_F(ReplacementTest, LruVictimOrderIsLastTouchNotUnpinTime) {
@@ -46,7 +30,7 @@ TEST_F(ReplacementTest, LruVictimOrderIsLastTouchNotUnpinTime) {
   // position = last touch) still evicts b0 first. A policy ordering by
   // unpin time would evict b1 — that is the regression this guards.
   BufferPool pool(3 * kBlock);
-  auto f0 = pool.Fetch(0, 0, kBlock, store_.get(), true);  // touch b0, pin
+  auto f0 = pool.Fetch(0, 0, kBlock);  // touch b0, pin
   ASSERT_TRUE(f0.ok());
   Cache(&pool, 1);  // touch b1, immediately evictable
   Cache(&pool, 2);  // touch b2
@@ -129,7 +113,7 @@ TEST_F(ReplacementTest, ScheduleOptNeverEvictsPinnedOrRetained) {
   auto uses = std::make_shared<BlockUseMap>();
   (*uses)[{0, 0}] = {100};  // farthest next use — but pinned
   pool.BindUsePlan(uses);
-  auto pinned = pool.Fetch(0, 0, kBlock, store_.get(), true);
+  auto pinned = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(pinned.ok());
   Cache(&pool, 1);
   Cache(&pool, 2);  // must evict b1, not the pinned b0
@@ -267,9 +251,9 @@ TEST_F(ReplacementTest, AllPoliciesFailCleanlyWhenEverythingIsPinned) {
        {ReplacementKind::kLru, ReplacementKind::kScheduleOpt}) {
     SCOPED_TRACE(ReplacementKindName(kind));
     BufferPool pool(2 * kBlock, MakeReplacementPolicy(kind));
-    auto a = pool.Fetch(0, 0, kBlock, store_.get(), true);
-    auto b = pool.Fetch(0, 1, kBlock, store_.get(), true);
-    auto c = pool.Fetch(0, 2, kBlock, store_.get(), true);
+    auto a = pool.Fetch(0, 0, kBlock);
+    auto b = pool.Fetch(0, 1, kBlock);
+    auto c = pool.Fetch(0, 2, kBlock);
     EXPECT_FALSE(c.ok());
     EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
     pool.Unpin(*a);

@@ -1,13 +1,14 @@
 // BufferPool::Snapshot(): counters and frame-state aggregates captured
 // under ONE lock acquisition. Reading stats() and used_bytes() /
 // PinnedFrames() as separate calls can interleave with IoPool
-// write-behind callbacks and concurrent fetches, observing counters
+// write-through completions and concurrent fetches, observing counters
 // mid-update relative to frame state; Snapshot() must always return a
 // view in which the pool's invariants hold. This test hammers the pool
-// from reader, dirtier, and session-style threads while the main thread
+// from reader, writer, and session-style threads while the main thread
 // snapshots continuously — it is a TSan target (CI sanitizer matrix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/env.h"
 #include "storage/io_pool.h"
+#include "testing/pool_fetch.h"
 
 namespace riot {
 namespace {
@@ -44,7 +46,6 @@ class StatsSnapshotTest : public ::testing::Test {
 TEST_F(StatsSnapshotTest, InvariantsHoldUnderConcurrentTraffic) {
   IoPool io(2);
   BufferPool pool(8 * kBlock);
-  pool.SetWriteBehind(&io);
 
   std::atomic<bool> stop{false};
 
@@ -55,22 +56,42 @@ TEST_F(StatsSnapshotTest, InvariantsHoldUnderConcurrentTraffic) {
     while (!stop.load()) {
       x = x * 6364136223846793005ull + 1442695040888963407ull;
       int64_t b = static_cast<int64_t>(x >> 33) % kBlocks;
-      auto f = pool.Fetch(0, b, kBlock, store_.get(), /*load=*/true);
+      auto f = FetchFilled(&pool, store_.get(), 0, b);
       if (f.ok()) pool.Unpin(*f);
     }
   };
-  // Dirtier thread: creates dirty frames so evictions exercise the async
-  // write-behind path (counters updated from IoPool worker callbacks).
-  auto dirtier = [&] {
+  // Writer thread: rewrites blocks of the readers' array and writes them
+  // through behind it, so writes land on the IoPool workers (completion
+  // callbacks, frames released at the next pool call) while the snapshots
+  // run.
+  WriteThroughLedger ledger;
+  auto writer = [&] {
     int64_t b = 0;
     while (!stop.load()) {
-      auto f = pool.Fetch(0, b % kBlocks, kBlock, store_.get(),
-                          /*load=*/false);
-      if (f.ok()) {
-        (*f)->dirty = true;
-        pool.Unpin(*f);
+      const int64_t blk = b++ % kBlocks;
+      bool resident = false;
+      auto f = pool.Fetch(0, blk, kBlock, &resident, nullptr,
+                          /*coalesce_loads=*/true);
+      if (!f.ok()) {
+        // Cap pressure from this thread's own writes: let one land.
+        (void)pool.AwaitOldestWrite(&ledger);
+        continue;
       }
-      ++b;
+      // The block's previous write (this thread's) lands before the
+      // buffer changes.
+      if (resident && !pool.AwaitWrite(0, blk).ok()) {
+        pool.Unpin(*f);
+        continue;
+      }
+      std::fill((*f)->data.begin(), (*f)->data.end(),
+                static_cast<uint8_t>(b));
+      if (!resident) pool.MarkLoaded(*f);
+      if (!pool.WriteThroughAsync(*f, /*caller_pins=*/1, store_.get(), &io,
+                                  /*channel=*/0, &ledger)) {
+        // A reader pins it too: write it now instead.
+        (void)store_->WriteBlock(blk, (*f)->data.data());
+      }
+      pool.Unpin(*f);
     }
   };
   // Session-style thread: budgeted, coalescing fetches against a second
@@ -81,13 +102,12 @@ TEST_F(StatsSnapshotTest, InvariantsHoldUnderConcurrentTraffic) {
     int64_t b = 0;
     while (!stop.load()) {
       bool resident = false;
-      auto f = pool.Fetch(1, b % kBlocks, kBlock, store_.get(),
-                          /*load=*/false, &resident, &account,
+      auto f = pool.Fetch(1, b % kBlocks, kBlock, &resident, &account,
                           /*coalesce_loads=*/true);
       if (f.ok()) {
         if (!resident) {
-          // The manual load runs beside the write-behind workers' writes
-          // to the same store, as the BlockStore contract allows.
+          // The manual load runs beside the I/O workers' writes to the
+          // same store, as the BlockStore contract allows.
           Status st = store_->ReadBlock(b % kBlocks, (*f)->data.data());
           if (st.ok()) {
             pool.MarkLoaded(*f);
@@ -106,7 +126,7 @@ TEST_F(StatsSnapshotTest, InvariantsHoldUnderConcurrentTraffic) {
   std::vector<std::thread> threads;
   threads.emplace_back(reader, 1);
   threads.emplace_back(reader, 2);
-  threads.emplace_back(dirtier);
+  threads.emplace_back(writer);
   threads.emplace_back(tenant);
 
   // Continuous snapshots: every view must be internally consistent. Run
@@ -122,17 +142,14 @@ TEST_F(StatsSnapshotTest, InvariantsHoldUnderConcurrentTraffic) {
     ASSERT_LE(s.required_bytes, s.used_bytes);
     ASSERT_LE(s.used_bytes, pool.cap_bytes());
     ASSERT_GE(s.pinned_frames, 0);
-    ASSERT_GE(s.writeback_inflight_bytes, 0);
     ASSERT_GE(s.pending_writebacks, 0);
     // Counters are monotonic between consecutive consistent views.
     ASSERT_GE(s.stats.hits, prev.stats.hits);
     ASSERT_GE(s.stats.misses, prev.stats.misses);
     ASSERT_GE(s.stats.evictions, prev.stats.evictions);
-    ASSERT_GE(s.stats.dirty_writebacks, prev.stats.dirty_writebacks);
-    ASSERT_GE(s.stats.async_writebacks, prev.stats.async_writebacks);
     ASSERT_GE(s.stats.coalesced_loads, prev.stats.coalesced_loads);
-    // Write-behind accounting: async spills never outnumber spills.
-    ASSERT_LE(s.stats.async_writebacks, s.stats.dirty_writebacks);
+    ASSERT_GE(s.stats.writeback_stall_seconds,
+              prev.stats.writeback_stall_seconds);
     // Every eviction had an insertion: misses + prefetch issues bound it.
     ASSERT_LE(s.stats.evictions,
               s.stats.misses + s.stats.prefetch_issued);
@@ -141,13 +158,12 @@ TEST_F(StatsSnapshotTest, InvariantsHoldUnderConcurrentTraffic) {
   stop.store(true);
   for (auto& t : threads) t.join();
 
-  // Quiesce: land the write-behinds and check the drained view.
-  ASSERT_TRUE(pool.DrainWritebacks().ok());
-  pool.SetWriteBehind(nullptr);
+  // Quiesce: land the write-throughs and check the drained view.
+  ASSERT_TRUE(pool.DrainWriteThroughs(&ledger).ok());
+  EXPECT_GT(ledger.landed.load(), 0);
   BufferPoolSnapshot end = pool.Snapshot();
   EXPECT_EQ(end.pinned_frames, 0);
   EXPECT_EQ(end.required_bytes, 0);
-  EXPECT_EQ(end.writeback_inflight_bytes, 0);
   EXPECT_EQ(end.pending_writebacks, 0);
   // The tenant account drained with its pins.
   EXPECT_EQ(account.charged_bytes.load(), 0);

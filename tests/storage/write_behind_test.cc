@@ -1,13 +1,15 @@
-// Asynchronous write-behind: dirty eviction victims are handed to IoPool
-// write workers; a write barrier orders later reads/prefetches of an
-// in-flight block after the pending write. These tests drive the race
-// surface directly — reads, prefetches, and eviction write-backs hitting
-// the same (array, block) — and the failure path (injected write errors
-// must surface as clean Status, never tear a frame or lose an
-// acknowledged write). The concurrent test is a TSan target: it runs
-// under the CI sanitizer matrix.
+// Write-through behind the caller (BufferPool::WriteThroughAsync): a
+// frame's write runs on IoPool write workers while the frame stays
+// resident, and a write barrier orders later refills, disk reads and
+// prefetches of the block after it. These tests drive the race surface
+// directly — fetches, prefetches and in-flight writes hitting the same
+// (array, block) — and the failure path (an injected write error must
+// surface as a clean Status and poison the block until drained, never tear
+// a frame or lose an acknowledged write). The concurrent test is a TSan
+// target: it runs under the CI sanitizer matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <random>
@@ -18,6 +20,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/env.h"
 #include "storage/io_pool.h"
+#include "testing/pool_fetch.h"
 
 namespace riot {
 namespace {
@@ -59,150 +62,117 @@ class WriteBehindTest : public ::testing::Test {
     }
   }
 
-  // Pins block `b`, fills it with `value`, marks it dirty, unpins.
-  void DirtyFill(BufferPool* pool, BlockStore* store, int64_t b,
-                 uint8_t value) {
-    auto f = pool->Fetch(0, b, kBlock, store, /*load=*/false);
-    ASSERT_TRUE(f.ok());
-    std::fill((*f)->data.begin(), (*f)->data.end(), value);
-    (*f)->dirty = true;
-    pool->Unpin(*f);
-  }
-
   std::unique_ptr<Env> env_;
   std::unique_ptr<BlockStore> store_;
 };
 
-TEST_F(WriteBehindTest, AsyncSpillLandsOnDisk) {
-  IoPool io(2);
-  BufferPool pool(1 * kBlock);
-  pool.SetWriteBehind(&io);
-  DirtyFill(&pool, store_.get(), 0, 0xAB);
-  // Fetching a second block forces the dirty victim out asynchronously.
-  auto f = pool.Fetch(0, 1, kBlock, store_.get(), /*load=*/true);
-  ASSERT_TRUE(f.ok());
-  pool.Unpin(*f);
-  ASSERT_TRUE(pool.DrainWritebacks().ok());
-  pool.SetWriteBehind(nullptr);
-  std::vector<uint8_t> buf(kBlock);
-  ASSERT_TRUE(store_->ReadBlock(0, buf.data()).ok());
-  EXPECT_EQ(buf[0], 0xAB);
-  EXPECT_EQ(buf[kBlock - 1], 0xAB);
-  const BufferPoolStats st = pool.stats();
-  EXPECT_EQ(st.dirty_writebacks, 1);
-  EXPECT_EQ(st.async_writebacks, 1);
-  EXPECT_EQ(st.evictions, 1);
-}
-
 TEST_F(WriteBehindTest, FetchBarrierObservesPendingWrite) {
+  // A fetch of a block whose write is in flight hits the frame the write
+  // holds resident, and a caller about to refill it waits the write out
+  // (AwaitWrite), so the disk has the written data before the buffer
+  // changes.
   SlowWriteStore slow(store_.get(), /*write_delay_ms=*/100);
   IoPool io(1);
-  BufferPool pool(1 * kBlock);
-  pool.SetWriteBehind(&io);
-  DirtyFill(&pool, &slow, 0, 0xCD);
-  // load=false: returns as soon as the dirty victim is handed to the
-  // (slow, 100 ms) writer, leaving the write in flight.
-  auto f1 = pool.Fetch(0, 1, kBlock, &slow, /*load=*/false);
-  ASSERT_TRUE(f1.ok());
-  pool.Unpin(*f1);
-  // Re-fetch block 0 with a disk load: the barrier must hold the fetch
-  // until the pending write lands, so the load sees 0xCD — not the stale
-  // zeros a racing read would observe.
-  auto f0 = pool.Fetch(0, 0, kBlock, &slow, /*load=*/true);
+  BufferPool pool(2 * kBlock);
+  WriteThroughLedger ledger;
+  auto f = pool.Fetch(0, 0, kBlock);
+  ASSERT_TRUE(f.ok());
+  std::fill((*f)->data.begin(), (*f)->data.end(), 0xCD);
+  ASSERT_TRUE(pool.WriteThroughAsync(*f, /*caller_pins=*/1, &slow, &io,
+                                     /*channel=*/0, &ledger));
+  pool.Unpin(*f);
+
+  bool resident = false;
+  auto f0 = pool.Fetch(0, 0, kBlock, &resident, nullptr,
+                       /*coalesce_loads=*/true);
   ASSERT_TRUE(f0.ok());
+  EXPECT_TRUE(resident);  // no disk read of the pre-write image
   EXPECT_EQ((*f0)->data[0], 0xCD);
   EXPECT_EQ((*f0)->data[kBlock - 1], 0xCD);
-  pool.Unpin(*f0);
+  ASSERT_TRUE(pool.AwaitWrite(0, 0).ok());
   EXPECT_GT(pool.stats().writeback_stall_seconds, 0.0);
-  ASSERT_TRUE(pool.DrainWritebacks().ok());
-  pool.SetWriteBehind(nullptr);
-}
-
-TEST_F(WriteBehindTest, PrefetchOfInFlightBlockIsDeclined) {
-  SlowWriteStore slow(store_.get(), /*write_delay_ms=*/100);
-  IoPool io(1);
-  BufferPool pool(2 * kBlock);
-  pool.SetWriteBehind(&io);
-  pool.SetPrefetchBudget(2 * kBlock);
-  DirtyFill(&pool, &slow, 0, 0xEF);
-  // load=false keeps this fetch from serializing behind the in-flight
-  // write; block 0's 100 ms write-back is still pending afterwards.
-  auto f = pool.Fetch(0, 2, kBlock, &slow, /*load=*/false);
-  ASSERT_TRUE(f.ok());
-  auto g = pool.Fetch(0, 3, kBlock, &slow, /*load=*/false);
-  ASSERT_TRUE(g.ok());
-  // A prefetch of the in-flight block must be declined, not raced.
-  EXPECT_EQ(pool.TryStartPrefetch(0, 0, kBlock, &slow), nullptr);
-  EXPECT_GE(pool.stats().prefetch_declined, 1);
-  pool.Unpin(*f);
-  pool.Unpin(*g);
-  ASSERT_TRUE(pool.DrainWritebacks().ok());
-  pool.SetWriteBehind(nullptr);
   std::vector<uint8_t> buf(kBlock);
   ASSERT_TRUE(store_->ReadBlock(0, buf.data()).ok());
-  EXPECT_EQ(buf[0], 0xEF);
+  EXPECT_EQ(buf[0], 0xCD);
+  EXPECT_EQ(buf[kBlock - 1], 0xCD);
+  std::fill((*f0)->data.begin(), (*f0)->data.end(), 0x11);  // now safe
+  pool.Unpin(*f0);
+  EXPECT_TRUE(pool.DrainWriteThroughs(&ledger).ok());
+  EXPECT_EQ(ledger.landed.load(), 1);
 }
 
-TEST_F(WriteBehindTest, ConcurrentReadEvictionWritebackNoTornOrLostWrites) {
-  // Three threads under a two-frame cap, every eviction a write-behind:
-  //   * a writer cycling blocks {0, 1}: verify-on-fetch (a miss loads the
-  //     last acknowledged fill through the barrier — a stale or torn read
-  //     would mix values), then fill with the next value, dirty, unpin;
-  //   * a reader cycling blocks {2, 3} the same way;
+TEST_F(WriteBehindTest, ConcurrentFetchWriteThroughNoTornOrLostWrites) {
+  // Three threads under a three-frame cap:
+  //   * two cyclers, on blocks {0, 1} and {2, 3}: fetch (a miss is filled
+  //     from disk by the fetcher and must hold the last acknowledged
+  //     write — a stale or torn read would mix values; a hit is the frame
+  //     the last write left), wait out the block's write, fill with the
+  //     next value, write it through behind the caller, unpin;
   //   * a prefetcher churning blocks {4, 5} through the prefetch
   //     lifecycle, competing for the same frames.
-  // The 1 ms write delay plus the single-entry write-behind budget
-  // (cap/4 < block) keeps a write in flight almost continuously, so
-  // fetches constantly cross in-flight write-backs of the same blocks.
+  // The 1 ms write delay keeps writes in flight almost continuously, so
+  // in-flight frames crowd the cap, evictions take frames whose writes
+  // just landed, and fetches constantly cross in-flight writes of the
+  // same blocks.
   SlowWriteStore slow(store_.get(), /*write_delay_ms=*/1);
   IoPool io(2);
-  BufferPool pool(2 * kBlock);
-  pool.SetWriteBehind(&io);
+  BufferPool pool(3 * kBlock);
   pool.SetPrefetchBudget(kBlock);
   std::atomic<bool> failed{false};
   std::atomic<bool> stop{false};
 
   auto cycle = [&](int64_t lo, uint64_t seed, int iters) {
     std::mt19937 rng(static_cast<unsigned>(seed));
+    WriteThroughLedger ledger;
     std::vector<uint8_t> last(2, 0);
     for (int i = 1; i <= iters && !failed.load(); ++i) {
       const int64_t b = lo + static_cast<int64_t>(rng() % 2);
-      auto f = pool.Fetch(0, b, kBlock, &slow, /*load=*/true);
+      auto f = FetchFilled(&pool, &slow, 0, b);
       if (!f.ok()) {
-        // Transient cap pressure with three threads pinning is legal; any
-        // other error is not (no faults are injected here).
-        if (f.status().code() != StatusCode::kResourceExhausted) {
+        // Cap pressure from in-flight writes and the other threads' pins
+        // is legal: let this thread's oldest write land (a no-op when none
+        // is in flight) and go on. Any other error is not (no faults are
+        // injected here).
+        if (f.status().code() != StatusCode::kResourceExhausted ||
+            !pool.AwaitOldestWrite(&ledger).ok()) {
           failed = true;
         }
         continue;
       }
       const uint8_t want = last[static_cast<size_t>(b - lo)];
       // This thread is the block's only mutator: the frame must hold the
-      // last acknowledged fill uniformly, whether it survived in cache or
-      // went to disk and came back through the write barrier.
+      // last acknowledged fill uniformly, whether it stayed resident or
+      // went to disk and came back.
       for (int64_t k = 0; k < kBlock; ++k) {
         if ((*f)->data[static_cast<size_t>(k)] != want) {
           failed = true;
           break;
         }
       }
+      // The previous write of the block may still be reading the buffer.
+      if (!pool.AwaitWrite(0, b).ok()) failed = true;
       const uint8_t next = static_cast<uint8_t>(1 + (i % 250));
       std::fill((*f)->data.begin(), (*f)->data.end(), next);
-      (*f)->dirty = true;
       last[static_cast<size_t>(b - lo)] = next;
+      // The sole holder's write is always queued.
+      if (!pool.WriteThroughAsync(*f, /*caller_pins=*/1, &slow, &io,
+                                  /*channel=*/0, &ledger)) {
+        failed = true;
+      }
       pool.Unpin(*f);
     }
+    if (!pool.DrainWriteThroughs(&ledger).ok()) failed = true;
     return last;
   };
 
-  std::vector<uint8_t> writer_last, reader_last;
-  std::thread writer([&] { writer_last = cycle(0, 17, 150); });
-  std::thread reader([&] { reader_last = cycle(2, 71, 150); });
+  std::vector<uint8_t> first_last, second_last;
+  std::thread first([&] { first_last = cycle(0, 17, 150); });
+  std::thread second([&] { second_last = cycle(2, 71, 150); });
   std::thread prefetcher([&] {
     std::mt19937 rng(9);
     while (!stop.load() && !failed.load()) {
       const int64_t b = 4 + static_cast<int64_t>(rng() % 2);
-      BufferPool::Frame* f = pool.TryStartPrefetch(0, b, kBlock, &slow);
+      BufferPool::Frame* f = pool.TryStartPrefetch(0, b, kBlock);
       if (f == nullptr) {
         std::this_thread::yield();
         continue;
@@ -213,18 +183,16 @@ TEST_F(WriteBehindTest, ConcurrentReadEvictionWritebackNoTornOrLostWrites) {
     }
   });
 
-  writer.join();
-  reader.join();
+  first.join();
+  second.join();
   stop = true;
   prefetcher.join();
   EXPECT_FALSE(failed.load());
-  ASSERT_TRUE(pool.DrainWritebacks().ok());
-  ASSERT_TRUE(pool.FlushAll().ok());
-  pool.SetWriteBehind(nullptr);
+  EXPECT_EQ(pool.PinnedFrames(), 0);
   // No lost write: disk holds each block's last acknowledged fill.
   for (int64_t b = 0; b < 4; ++b) {
-    const uint8_t want = b < 2 ? writer_last[static_cast<size_t>(b)]
-                               : reader_last[static_cast<size_t>(b - 2)];
+    const uint8_t want = b < 2 ? first_last[static_cast<size_t>(b)]
+                               : second_last[static_cast<size_t>(b - 2)];
     if (want == 0) continue;  // never touched
     std::vector<uint8_t> buf(kBlock);
     ASSERT_TRUE(store_->ReadBlock(b, buf.data()).ok());
@@ -233,44 +201,13 @@ TEST_F(WriteBehindTest, ConcurrentReadEvictionWritebackNoTornOrLostWrites) {
   }
 }
 
-TEST_F(WriteBehindTest, InjectedWriteFailureSurfacesCleanly) {
-  auto faulty_env = NewFaultyEnv(env_.get(), /*fail_after_ops=*/0);
-  auto faulty = OpenDaf(faulty_env.get(), "/s", kBlock, 64);
-  ASSERT_TRUE(faulty.ok());
-  IoPool io(1);
-  BufferPool pool(1 * kBlock);
-  pool.SetWriteBehind(&io);
-  DirtyFill(&pool, faulty->get(), 0, 0x77);
-  // Eviction hands the dirty frame to the writer, whose write fails.
-  auto f = pool.Fetch(0, 1, kBlock, store_.get(), true);
-  ASSERT_TRUE(f.ok());
-  pool.Unpin(*f);
-  // The failed block is poisoned: a fetch surfaces the write's error
-  // instead of silently rereading the stale disk image.
-  auto poisoned = pool.Fetch(0, 0, kBlock, faulty->get(), true);
-  ASSERT_FALSE(poisoned.ok());
-  EXPECT_EQ(poisoned.status().code(), StatusCode::kIoError);
-  // Draining reports the failure once and restores the pool to a usable
-  // state.
-  Status drain = pool.DrainWritebacks();
-  EXPECT_FALSE(drain.ok());
-  EXPECT_EQ(drain.code(), StatusCode::kIoError);
-  EXPECT_TRUE(pool.DrainWritebacks().ok());
-  auto again = pool.Fetch(0, 2, kBlock, store_.get(), true);
-  EXPECT_TRUE(again.ok());
-  if (again.ok()) pool.Unpin(*again);
-  pool.SetWriteBehind(nullptr);
-  const BufferPoolStats st = pool.stats();
-  EXPECT_EQ(st.async_writebacks, 1);
-}
-
 TEST_F(WriteBehindTest, WriteThroughHoldsFrameUntilItLands) {
   SlowWriteStore slow(store_.get(), /*write_delay_ms=*/100);
   IoPool io(1);
   BufferPool pool(2 * kBlock);
   pool.SetPrefetchBudget(2 * kBlock);
   WriteThroughLedger ledger;
-  auto f = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  auto f = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(f.ok());
   std::fill((*f)->data.begin(), (*f)->data.end(), 0xEF);
   ASSERT_TRUE(pool.WriteThroughAsync(*f, /*caller_pins=*/1, &slow, &io,
@@ -282,10 +219,10 @@ TEST_F(WriteBehindTest, WriteThroughHoldsFrameUntilItLands) {
   EXPECT_TRUE(pool.WriteInFlight(0, 0));
   EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);
   EXPECT_EQ(ledger.held_bytes.load(), kBlock);
-  EXPECT_EQ(pool.TryStartPrefetch(0, 0, kBlock, &slow), nullptr);
-  auto f1 = pool.Fetch(0, 1, kBlock, &slow, /*load=*/false);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 0, kBlock), nullptr);
+  auto f1 = pool.Fetch(0, 1, kBlock);
   ASSERT_TRUE(f1.ok());
-  auto f2 = pool.Fetch(0, 2, kBlock, &slow, /*load=*/false);
+  auto f2 = pool.Fetch(0, 2, kBlock);
   EXPECT_EQ(f2.status().code(), StatusCode::kResourceExhausted);
 
   ASSERT_TRUE(pool.AwaitOldestWrite(&ledger).ok());
@@ -298,7 +235,7 @@ TEST_F(WriteBehindTest, WriteThroughHoldsFrameUntilItLands) {
   ASSERT_TRUE(store_->ReadBlock(0, buf.data()).ok());
   EXPECT_EQ(buf[0], 0xEF);
   EXPECT_EQ(buf[kBlock - 1], 0xEF);
-  f2 = pool.Fetch(0, 2, kBlock, &slow, /*load=*/false);  // evicts block 0
+  f2 = pool.Fetch(0, 2, kBlock);  // evicts block 0
   ASSERT_TRUE(f2.ok());
   pool.Unpin(*f1);
   pool.Unpin(*f2);
@@ -314,8 +251,8 @@ TEST_F(WriteBehindTest, WriteThroughDeclinesFrameAnotherHolderPins) {
   IoPool io(1);
   BufferPool pool(4 * kBlock);
   WriteThroughLedger ledger;
-  auto a = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
-  auto b = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  auto a = pool.Fetch(0, 0, kBlock);
+  auto b = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(*a, *b);
   EXPECT_FALSE(pool.WriteThroughAsync(*a, /*caller_pins=*/1, &slow, &io,
@@ -329,7 +266,7 @@ TEST_F(WriteBehindTest, WriteThroughDeclinesFrameAnotherHolderPins) {
   ASSERT_TRUE(pool.WriteThroughAsync(*b, /*caller_pins=*/1, &slow, &io,
                                      /*channel=*/0, &ledger));
   pool.Unpin(*b);
-  auto c = pool.Fetch(0, 0, kBlock, &slow, /*load=*/false);
+  auto c = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(c.ok());
   ASSERT_TRUE(pool.AwaitWrite(0, 0).ok());  // the barrier after the pin
   std::vector<uint8_t> buf(kBlock);
@@ -353,7 +290,7 @@ TEST_F(WriteBehindTest, FailedWriteThroughPoisonsUntilDrained) {
   IoPool io(1);
   BufferPool pool(4 * kBlock);
   WriteThroughLedger ledger;
-  auto f = pool.Fetch(0, 0, kBlock, faulty->get(), /*load=*/false);
+  auto f = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(f.ok());
   ASSERT_TRUE(pool.WriteThroughAsync(*f, /*caller_pins=*/1, faulty->get(),
                                      &io, /*channel=*/0, &ledger));
@@ -364,12 +301,11 @@ TEST_F(WriteBehindTest, FailedWriteThroughPoisonsUntilDrained) {
   EXPECT_EQ(pool.AwaitWrite(0, 0).code(), StatusCode::kIoError);
   EXPECT_TRUE(ledger.failed.load());
   EXPECT_EQ(pool.Probe(0, 0), nullptr);
-  EXPECT_EQ(pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true)
-                .status()
-                .code(),
-            StatusCode::kIoError);
+  EXPECT_EQ(pool.Fetch(0, 0, kBlock).status().code(), StatusCode::kIoError);
+  pool.SetPrefetchBudget(4 * kBlock);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 0, kBlock), nullptr);
   EXPECT_EQ(pool.DrainWriteThroughs(&ledger).code(), StatusCode::kIoError);
-  auto again = pool.Fetch(0, 0, kBlock, store_.get(), /*load=*/true);
+  auto again = pool.Fetch(0, 0, kBlock);
   ASSERT_TRUE(again.ok());
   pool.Unpin(*again);
   EXPECT_EQ(pool.PinnedFrames(), 0);
