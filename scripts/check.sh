@@ -35,6 +35,27 @@ for name in ("ridge", "linreg"):
         sys.exit(f"{name} made {calls} FindSchedule calls (limit 64)")
 EOF
 
+# Traced serve_zipf, mirroring CI's perfbench-smoke step: the run is
+# correct, no job fails, every session fan-out and lookahead read is
+# adopted (prefetch_useful_ratio 1) and no session parks on its budget.
+echo "=== serve_zipf fan-out smoke ==="
+serve_out="$(mktemp)"
+trap 'rm -f "${opt_json}" "${serve_out}"' EXIT
+python3 perfbench/run.py --workload serve_zipf --seconds 5 --trace 1 \
+  --build-dir build-perf --out perf-out > "${serve_out}"
+python3 - "${serve_out}" <<'EOF'
+import json, sys
+r = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+m = r["metrics"]
+useful = m["pool.prefetch_useful_ratio"]["value"]
+parks = m["sessions.budget_parks"]["value"]
+print("correct:", r["correct"], "failed:", r["failed"],
+      "prefetch_useful_ratio:", useful, "budget_parks:", parks)
+if not (r["correct"] and r["failed"] == 0 and useful == 1 and parks == 0):
+    sys.exit("serve_zipf: wrong output, failed jobs, wasted prefetch or "
+             "budget parks")
+EOF
+
 # Static-analysis gate, mirroring the CI static-analysis job. The
 # plan-integrity linter runs everywhere; the Clang legs (thread-safety
 # annotations as errors, clang-tidy) need a Clang toolchain and are

@@ -113,11 +113,16 @@ Status Executor::LintLoweredPlan(const AccessScript& script,
 // the same way and canceled the same way on error:
 //   * lookahead — reads of instances not yet dispatched, each charged
 //     beside the plan's largest requirement over the positions its frame
-//     waits through;
-//   * fan-out (solo runs) — when an instance is dispatched, its disk reads
-//     other than the one its consumer reads first, charged inside the
-//     instance's own requirement R(pos): they are frames R(pos) already
-//     counts, so they need no memory beyond what the plan requires.
+//     waits through (a session's to the runtime's headroom instead);
+//   * fan-out — when an instance is dispatched, its disk reads other than
+//     the one its consumer reads first, charged inside the instance's own
+//     requirement R(pos): they are frames R(pos) already counts, so they
+//     need no memory beyond what the plan requires. A solo run charges
+//     them against the cap beside R(pos); a session charges them to its
+//     account, whose budget admission reserved.
+// The instance step acquires the reads nobody has issued first, so the
+// consumer's own reads run while the fanned-out and lookahead ones are in
+// flight, then the reads in flight, then the writes.
 // The worker count changes only how the next instance is picked:
 //   * one worker: the next position of the script's order, on the calling
 //     thread. No dependence DAG is built and no thread is spawned; the
@@ -241,7 +246,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   int io_channel = 0;
   // Solo runs: the plan's requirement over the positions each prefetch
   // spans, charged against the budget per issue (see try_lookahead_locked
-  // and fan_out_locked).
+  // and fan_out_locked). Sessions charge fan-out to their account and
+  // lookahead to the runtime's headroom.
   std::unique_ptr<const RangeMax> required_max;
   if (depth > 0) {
     if (session != nullptr && session->io != nullptr) {
@@ -263,9 +269,6 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       required_max = std::make_unique<const RangeMax>(script.required_bytes);
     }
   }
-  // Session runs keep lookahead only: the session budget may refuse an
-  // adoption, and a refused fan-out read would be a wasted disk read.
-  const bool fan_out = session == nullptr && required_max != nullptr;
   // Write-behind: with an I/O pool each non-saved write goes to the
   // workers instead of blocking its kernel worker. The pool keeps the frame
   // resident until the write lands (inside the cap, outside the required
@@ -302,6 +305,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     BufferPool::Frame* frame = nullptr;
     bool done = false;
     Status status;
+    // Charged to the session account at issue (a session's fan-out read).
+    bool charged = false;
   };
   struct PrefetchState {
     Mutex mu;
@@ -454,12 +459,13 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   };
 
   // Issues an asynchronous read for one non-saved read record, charging
-  // `required` next to the lookahead (see TryStartPrefetch). A record
-  // whose producing write (dep_pos) has not completed — reading disk now
-  // would observe stale data — is dep-blocked. A pool decline for
-  // room/budget is kNoRoom.
+  // `required` next to the lookahead, or the frame itself to `charge` (see
+  // TryStartPrefetch). A record whose producing write (dep_pos) has not
+  // completed — reading disk now would observe stale data — is
+  // dep-blocked. A pool decline for room/budget is kNoRoom.
   enum class Issue { kHandled, kDepBlocked, kNoRoom };
-  auto try_issue_locked = [&](const BlockAccessRecord& rec, int64_t required)
+  auto try_issue_locked = [&](const BlockAccessRecord& rec, int64_t required,
+                              PoolAccount* charge)
       NO_THREAD_SAFETY_ANALYSIS -> Issue {
     if (rec.dep_pos >= 0 &&
         !completed[static_cast<size_t>(rec.dep_pos)].load()) {
@@ -475,8 +481,8 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       return Issue::kHandled;
     }
     BlockStore* store = stores_[static_cast<size_t>(rec.array_id)];
-    BufferPool::Frame* f =
-        pool.TryStartPrefetch(key.first, rec.block, rec.bytes, required);
+    BufferPool::Frame* f = pool.TryStartPrefetch(key.first, rec.block,
+                                                 rec.bytes, required, charge);
     if (f == nullptr) {
       if (pool.WriteInFlight(key.first, rec.block)) {
         return Issue::kDepBlocked;  // the producing write has not landed
@@ -488,7 +494,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
     }
     uint64_t tag = pf.next_tag++;
     pf.key_of_tag[tag] = key;
-    pf.pending.emplace(key, Pending{f, false, Status::OK()});
+    pf.pending.emplace(key, Pending{f, false, Status::OK(), charge != nullptr});
     pf.issue_order.push_back(key);
     io->ReadBlockAsync(store, rec.block, f->data.data(), tag, io_channel);
     return Issue::kHandled;
@@ -507,19 +513,22 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       [&](const BlockAccessRecord& rec) NO_THREAD_SAFETY_ANALYSIS -> Issue {
     if (dispatched[rec.pos].load()) return Issue::kHandled;
     return try_issue_locked(
-        rec, required_max != nullptr
-                 ? required_max->Max(pos_frontier.load(), rec.pos)
-                 : 0);
+        rec,
+        required_max != nullptr
+            ? required_max->Max(pos_frontier.load(), rec.pos)
+            : 0,
+        nullptr);
   };
 
-  // Instance read fan-out (solo runs; see the engine comment above). The
-  // consumer keeps the instance's first disk read nobody has issued; every
-  // other one is issued now, charged inside R(pos) as R(pos) less the
-  // instance's reads in flight (itself included), and beside the
-  // requirement of earlier positions still running. Outstanding lookahead
+  // Instance read fan-out (see the engine comment above). The consumer
+  // keeps the instance's first disk read nobody has issued; every other
+  // one is issued now. A solo run charges it inside R(pos) as R(pos) less
+  // the instance's reads in flight (itself included), and beside the
+  // requirement of earlier positions still running; outstanding lookahead
   // was admitted beside R(pos), so this needs no memory the plan does not
-  // require. A read that is dep-blocked or finds no room stays with the
-  // consumer, as at depth 0.
+  // require. A session charges it to its account, inside the footprint
+  // admission reserved. A read that is dep-blocked or finds no room stays
+  // with the consumer, as at depth 0.
   auto fan_out_locked = [&](size_t pos) NO_THREAD_SAFETY_ANALYSIS {
     const uint32_t rec_begin = script.per_pos[pos].first;
     const uint32_t rec_end = script.per_pos[pos].second;
@@ -544,7 +553,9 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
         own += rec.bytes;
       }
     }
-    const int64_t earlier = required_max->Max(pos_frontier.load(), pos);
+    const int64_t earlier =
+        required_max != nullptr ? required_max->Max(pos_frontier.load(), pos)
+                                : 0;
     bool consumer_read = false;
     for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
       const BlockAccessRecord& rec = script.records[ri];
@@ -559,7 +570,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       }
       const int64_t required = std::max(
           earlier, script.required_bytes[pos] - own - rec.bytes);
-      try_issue_locked(rec, required);
+      try_issue_locked(rec, required, account);
       if (pf.pending.count(key) > 0) own += rec.bytes;
     }
   };
@@ -570,7 +581,7 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
   // instance about to run.
   auto advance_prefetcher = [&](size_t pos) {
     MutexLock l(&pf.mu);
-    if (fan_out) fan_out_locked(pos);
+    fan_out_locked(pos);
     for (auto it = pf.deferred.begin(); it != pf.deferred.end();) {
       Issue res = try_lookahead_locked(script.records[*it]);
       if (res == Issue::kNoRoom) return;
@@ -622,17 +633,19 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       for (;;) {
         // Checked on every pass: the pressure relief below may drop pf.mu,
         // and the Fetch must never meet this run's own prefetch.
-        if (pf.pending.count(key) > 0) {
+        auto pending = pf.pending.find(key);
+        if (pending != pf.pending.end()) {
           if (is_read && !rec.saved &&
-              (account == nullptr ||
+              (account == nullptr || pending->second.charged ||
                account->charged_bytes.load() + rec.bytes <=
                    account->budget_bytes)) {
             // The prefetcher issued this very disk read; adopt its frame
-            // (only if the session budget admits it — adoption itself
-            // never refuses, so an over-budget adoption cancels the
-            // prefetch and takes the parking fetch below). A racing
-            // consumer may have resolved it first; then the block is
-            // served through the regular fetch.
+            // (only if the session budget admits it or the frame was
+            // charged at issue — adoption itself never refuses, so an
+            // over-budget adoption cancels the prefetch and takes the
+            // parking fetch below). A racing consumer may have resolved
+            // it first; then the block is served through the regular
+            // fetch.
             Pending* p = wait_pending_locked(pl, key);
             if (p != nullptr) {
               if (!p->status.ok()) return p->status;
@@ -772,11 +785,35 @@ Result<ExecStats> Executor::Run(const Schedule& schedule,
       }
     };
 
-    // Acquisition: pin every frame (reads loaded first, then the write — a
-    // read may populate the frame the write access aliases) before any
-    // retention or kernel side effect, so a memory-starved attempt can
-    // roll back to nothing and be retried safely.
-    for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
+    // Acquisition: pin every frame before any retention or kernel side
+    // effect, so a memory-starved attempt can roll back to nothing and be
+    // retried safely. Reads nobody has issued come first: the consumer
+    // reads them while this run's fan-out and lookahead reads are in
+    // flight. Then those reads; then, in a session, blocks in another
+    // tenant's prefetch — waited for only once this run has adopted its
+    // own, so two tenants never wait on each other's fan-out; writes last
+    // (a read may populate the frame the write access aliases).
+    std::vector<std::pair<int, uint32_t>> acquire_order;
+    acquire_order.reserve(rec_end - rec_begin);
+    {
+      MutexLock l(&pf.mu);
+      for (uint32_t ri = rec_begin; ri < rec_end; ++ri) {
+        const BlockAccessRecord& rec = script.records[ri];
+        const Key key{pid(rec.array_id), rec.block};
+        int rank = 0;
+        if (rec.type == AccessType::kWrite) {
+          rank = 3;
+        } else if (pf.pending.count(key) > 0) {
+          rank = 1;
+        } else if (session != nullptr &&
+                   pool.InPrefetch(key.first, key.second)) {
+          rank = 2;
+        }
+        acquire_order.emplace_back(rank, ri);
+      }
+    }
+    std::sort(acquire_order.begin(), acquire_order.end());
+    for (const auto& [rank, ri] : acquire_order) {
       const BlockAccessRecord& rec = script.records[ri];
       bool created = false;
       auto f = acquire(rec, ws, &created);

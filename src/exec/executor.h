@@ -79,8 +79,11 @@ struct InstanceDag;
 ///     stores can never collide;
 ///   * shared I/O workers (`io` + `io_channel`) — prefetch reads are
 ///     submitted on the session's own completion channel, and the pool's
-///     round-robin dispatch keeps one tenant's lookahead from starving
-///     another's.
+///     round-robin dispatch keeps one tenant's prefetch from starving
+///     another's. A run fans out each dispatched instance's reads as a
+///     solo run does, charging those frames to `account` (they are part
+///     of the footprint admission reserved), and reads ahead into the
+///     runtime's headroom.
 /// Tenants call a shared store concurrently, as a solo run's workers do:
 /// calls on distinct blocks may overlap (storage/block_store.h), and the
 /// shared pool's load latch and write barrier keep two off one block.
@@ -137,16 +140,19 @@ struct ExecOptions {
   /// where R is the plan's exact requirement per position
   /// (AccessScript::required_bytes): the cap's headroom over what the plan
   /// needs while the frame waits for its consumer, and over the other
-  /// workers' instance footprints. When a solo run dispatches the instance
-  /// at position p, the consumer reads its first disk read nobody has
-  /// issued, and every other one goes to the I/O workers at once (instance
-  /// read fan-out), so an instance's reads overlap each other. Those frames
-  /// are part of R(p), so they are charged inside R(p), never on top of it:
-  /// beside the outstanding lookahead, which was admitted beside R(p), and
-  /// ahead of lookahead for later positions. A read whose producing write
-  /// has not landed stays with the consumer. At one worker prefetched
-  /// frames therefore never need cancelling. A session run keeps lookahead
-  /// only, under the runtime's headroom budget.
+  /// workers' instance footprints. When a run dispatches the instance at
+  /// position p, the consumer reads its first disk read nobody has issued,
+  /// and every other one goes to the I/O workers at once (instance read
+  /// fan-out), so an instance's reads overlap each other. Those frames are
+  /// part of R(p), so a solo run charges them inside R(p), never on top of
+  /// it: beside the outstanding lookahead, which was admitted beside R(p),
+  /// and ahead of lookahead for later positions. A session run charges
+  /// them to its account instead, inside the footprint admission reserved,
+  /// and reads ahead under the runtime's headroom budget. A read whose
+  /// producing write has not landed stays with the consumer. At one worker
+  /// prefetched frames therefore never need cancelling. The instance
+  /// acquires the reads nobody has issued first, so its consumer reads
+  /// them while the others are in flight.
   /// 0 (default) disables the pipeline and reproduces the synchronous
   /// engine bit-for-bit — same I/O counts, same pool behavior. Ignored
   /// (treated as 0) under kOpportunisticCache, which has no plan

@@ -13,6 +13,23 @@ double Since(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+// The session budget rule: `bytes` more may not lift the charge past the
+// budget. Callers hold the pool's mutex, so relaxed loads suffice.
+bool OverBudget(const PoolAccount* account, int64_t bytes) {
+  return account != nullptr &&
+         account->charged_bytes.load(std::memory_order_relaxed) + bytes >
+             account->budget_bytes;
+}
+
+Status RejectOverBudget(PoolAccount* account, int64_t bytes) {
+  account->budget_rejections.fetch_add(1, std::memory_order_relaxed);
+  return Status::ResourceExhausted(
+      "session budget exceeded: charged " +
+      std::to_string(account->charged_bytes.load(std::memory_order_relaxed)) +
+      " + " + std::to_string(bytes) + " > budget " +
+      std::to_string(account->budget_bytes));
+}
 }  // namespace
 
 BufferPool::BufferPool(int64_t cap_bytes,
@@ -70,6 +87,9 @@ void BufferPool::DropHoldLocked(Frame* f, PoolAccount* account) {
 }
 
 void BufferPool::RechargeLocked(Frame* f) {
+  // A prefetch keeps the charge it was issued under until it is adopted or
+  // abandoned.
+  if (f->state != FrameState::kRegular) return;
   PoolAccount* want = nullptr;
   if (CountsAsRequired(*f)) {
     auto holds = [f](const PoolAccount* a) {
@@ -103,6 +123,10 @@ void BufferPool::RechargeLocked(Frame* f) {
       }
     }
   }
+  MoveChargeLocked(f, want);
+}
+
+void BufferPool::MoveChargeLocked(Frame* f, PoolAccount* want) {
   if (want == f->account) return;
   // Under mu_: relaxed atomics suffice (atomicity is only for lock-free
   // readers outside the pool).
@@ -124,6 +148,12 @@ BufferPool::Frame* BufferPool::Probe(int array_id, int64_t block) {
   MutexLock lock(&mu_);
   auto it = frames_.find({array_id, block});
   return it == frames_.end() ? nullptr : &it->second;
+}
+
+bool BufferPool::InPrefetch(int array_id, int64_t block) {
+  MutexLock lock(&mu_);
+  auto it = frames_.find({array_id, block});
+  return it != frames_.end() && it->second.state != FrameState::kRegular;
 }
 
 void BufferPool::SubmitWriteLocked(IoPool* io, BlockStore* store,
@@ -264,21 +294,12 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
         // than hand out zeros.
         return Status::Internal("fetch of a discarded frame (run aborting)");
       }
-      if (account != nullptr && !CountsAsRequired(f)) {
-        // This pin makes the frame newly required: the session pays for it
-        // (a frame another tenant already holds required stays on their
-        // tab — the budget check below never fires for it).
-        const int64_t sz = static_cast<int64_t>(f.data.size());
-        if (account->charged_bytes.load(std::memory_order_relaxed) + sz >
-            account->budget_bytes) {
-          account->budget_rejections.fetch_add(1, std::memory_order_relaxed);
-          return Status::ResourceExhausted(
-              "session budget exceeded: charged " +
-              std::to_string(
-                  account->charged_bytes.load(std::memory_order_relaxed)) +
-              " + " + std::to_string(sz) + " > budget " +
-              std::to_string(account->budget_bytes));
-        }
+      // A pin that makes the frame newly required is the session's to pay
+      // for (a frame another tenant already holds required stays on their
+      // tab).
+      const int64_t sz = static_cast<int64_t>(f.data.size());
+      if (!CountsAsRequired(f) && OverBudget(account, sz)) {
+        return RejectOverBudget(account, sz);
       }
       if (!counted_miss) ++stats_.hits;
       if (was_resident != nullptr) *was_resident = true;
@@ -305,24 +326,15 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
       }
       return &f;
     }
-    if (pending_writes_.count(key) > 0) {
-      // Write barrier: a write of the block is in flight (or failed and
-      // not yet drained). Wait it out so the caller's load observes the
-      // written data, or surface the failure.
-      RIOT_RETURN_NOT_OK(WaitWritebackLocked(lock, key));
-      continue;  // the wait dropped the lock: re-check residency
+    auto pw = pending_writes_.find(key);
+    if (pw != pending_writes_.end()) {
+      // A write-through keeps its frame resident until it is reaped, so a
+      // miss meets only a failed write's poison: the block's disk image is
+      // stale, and the error stands until the writer drains it.
+      RIOT_DCHECK(pw->second->done && !pw->second->status.ok());
+      return pw->second->status;
     }
-    if (account != nullptr &&
-        account->charged_bytes.load(std::memory_order_relaxed) + bytes >
-            account->budget_bytes) {
-      account->budget_rejections.fetch_add(1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          "session budget exceeded: charged " +
-          std::to_string(
-              account->charged_bytes.load(std::memory_order_relaxed)) +
-          " + " + std::to_string(bytes) + " > budget " +
-          std::to_string(account->budget_bytes));
-    }
+    if (OverBudget(account, bytes)) return RejectOverBudget(account, bytes);
     if (!counted_miss) {
       ++stats_.misses;
       counted_miss = true;
@@ -352,6 +364,8 @@ Result<BufferPool::Frame*> BufferPool::Fetch(int array_id, int64_t block,
 void BufferPool::DetachAccount(PoolAccount* account) {
   MutexLock lock(&mu_);
   for (auto& [key, f] : frames_) {
+    RIOT_CHECK(f.state == FrameState::kRegular || f.account != account)
+        << "DetachAccount with a fan-out read of the account in flight";
     if (f.account != account && f.holders.empty() && f.retentions.empty()) {
       continue;
     }
@@ -545,13 +559,19 @@ Status BufferPool::DrainWriteThroughs(WriteThroughLedger* ledger) {
 
 BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
                                                 int64_t bytes,
-                                                int64_t required_bytes) {
+                                                int64_t required_bytes,
+                                                PoolAccount* account) {
   MutexLock lock(&mu_);
   ReapLandedLocked();
   Key key{array_id, block};
+  // An account's fan-out read is part of its footprint: Fetch's budget
+  // rule. Lookahead fits beside the caller's requirement in the budget.
   const int64_t held = prefetch_counts_write_held_ ? write_held_bytes_ : 0;
-  if (prefetch_bytes_ + held + required_bytes + bytes >
-      prefetch_budget_bytes_) {
+  if (account != nullptr
+          ? OverBudget(account, bytes)
+          : prefetch_bytes_ - charged_prefetch_bytes_ + held + required_bytes +
+                    bytes >
+                prefetch_budget_bytes_) {
     ++stats_.prefetch_declined;
     return nullptr;
   }
@@ -576,9 +596,7 @@ BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
       return nullptr;
     }
     MutateTracked(&f, [&] { f.state = FrameState::kPrefetching; });
-    prefetch_bytes_ += static_cast<int64_t>(f.data.size());
-    ++stats_.prefetch_issued;
-    policy_->OnTouch(key);
+    StartPrefetchLocked(&f, account);
     return &f;
   }
   if (!EnsureCapacityLocked(bytes).ok()) {
@@ -593,12 +611,27 @@ BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
       << "frame buffer not cache-line aligned";
   f.state = FrameState::kPrefetching;
   used_bytes_ += bytes;
-  prefetch_bytes_ += bytes;
-  ++stats_.prefetch_issued;
   auto [ins, ok] = frames_.emplace(key, std::move(f));
   RIOT_CHECK(ok);
-  policy_->OnTouch(key);
+  StartPrefetchLocked(&ins->second, account);
   return &ins->second;
+}
+
+void BufferPool::StartPrefetchLocked(Frame* f, PoolAccount* account) {
+  const int64_t sz = static_cast<int64_t>(f->data.size());
+  prefetch_bytes_ += sz;
+  if (account != nullptr) {
+    charged_prefetch_bytes_ += sz;
+    MoveChargeLocked(f, account);
+  }
+  ++stats_.prefetch_issued;
+  policy_->OnTouch({f->array_id, f->block});
+}
+
+void BufferPool::EndPrefetchLocked(Frame* f) {
+  const int64_t sz = static_cast<int64_t>(f->data.size());
+  prefetch_bytes_ -= sz;
+  if (f->account != nullptr) charged_prefetch_bytes_ -= sz;
 }
 
 void BufferPool::CompletePrefetch(Frame* frame) {
@@ -612,7 +645,8 @@ BufferPool::Frame* BufferPool::AdoptPrefetched(Frame* frame,
   {
     MutexLock lock(&mu_);
     RIOT_CHECK(frame->state == FrameState::kPrefetched);
-    prefetch_bytes_ -= static_cast<int64_t>(frame->data.size());
+    // An issue-time charge stays put: the adopter holds the frame now.
+    EndPrefetchLocked(frame);
     MutateTracked(frame, [&] {
       frame->state = FrameState::kRegular;
       frame->pins = 1;
@@ -629,7 +663,8 @@ void BufferPool::AbandonPrefetch(Frame* frame) {
   {
     MutexLock lock(&mu_);
     RIOT_CHECK(frame->state == FrameState::kPrefetched);
-    prefetch_bytes_ -= static_cast<int64_t>(frame->data.size());
+    EndPrefetchLocked(frame);
+    MoveChargeLocked(frame, nullptr);
     ++stats_.prefetch_abandoned;
     EraseFrameLocked(frame);
   }

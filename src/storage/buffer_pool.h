@@ -40,7 +40,8 @@
 // prefetch frames while kernel workers (one by default, many under
 // exec_threads > 1) concurrently fetch, pin, and retain.
 // Prefetch has its own frame lifecycle (kPrefetching -> kPrefetched ->
-// adopted or abandoned) and its own budget, and is *never* allowed to
+// adopted or abandoned) and its own budget — or, for a session's fan-out
+// read, the session's account (TryStartPrefetch) — and is *never* allowed to
 // violate the cap or evict a pinned/retained/in-flight frame — a prefetch
 // that would need either is declined. The load latch and the write
 // barrier keep any two store calls off the same block at once.
@@ -66,11 +67,13 @@ namespace riot {
 class IoPool;
 
 /// \brief Per-session ledger of the shared pool's *required* bytes (pinned
-/// or retained frames) attributable to one tenant. A Fetch/adoption that
-/// would lift the tenant's charge above `budget_bytes` is refused with
-/// kResourceExhausted instead of eating into other tenants' slices. A frame
-/// is charged to the account that made it required and uncharged when it
-/// stops being required; a frame another tenant already holds required is
+/// or retained frames, and the tenant's fan-out reads in flight)
+/// attributable to one tenant. A Fetch/adoption that would lift the
+/// tenant's charge above `budget_bytes` is refused with kResourceExhausted
+/// instead of eating into other tenants' slices, and a fan-out read that
+/// would is not issued. A frame is charged to the account that made it
+/// required (a fan-out read from its issue) and uncharged when it stops
+/// being required; a frame another tenant already holds required is
 /// not double-charged (cross-session sharing is free for the second
 /// reader). All mutations happen under the owning pool's mutex; the
 /// atomics let the session runtime and tests read without it.
@@ -214,7 +217,8 @@ class BufferPool {
     /// unrequired or claimed without an account. Always one of the
     /// frame's current claimants (a holder with pins, or a retention
     /// owner) — RechargeLocked moves it when the charged claimant lets
-    /// go while others remain.
+    /// go while others remain — or, in a prefetch state, the session whose
+    /// fan-out read it is (TryStartPrefetch with an account).
     PoolAccount* account = nullptr;
   };
 
@@ -249,6 +253,9 @@ class BufferPool {
 
   /// Frame lookup without side effects; nullptr if absent.
   Frame* Probe(int array_id, int64_t block) EXCLUDES(mu_);
+  /// True while the block's frame is in a prefetch state: a Fetch of it
+  /// waits until the prefetching run adopts or abandons it.
+  bool InPrefetch(int array_id, int64_t block) EXCLUDES(mu_);
 
   /// Releases one pin. `account` must be the account the matching Fetch /
   /// AdoptPrefetched pinned with (nullptr for anonymous pins): it
@@ -265,7 +272,8 @@ class BufferPool {
   /// shared frame stays required (a dangling pointer would otherwise
   /// outlive the owning session; the account is typically
   /// stack-allocated per run). The executor calls this in its session
-  /// cleanup; after it returns the account object may be destroyed.
+  /// cleanup, once its fan-out reads are adopted or abandoned; after it
+  /// returns the account object may be destroyed.
   void DetachAccount(PoolAccount* account) EXCLUDES(mu_);
   /// Unpin for a frame whose contents must not outlive the caller: marks it
   /// discarded and erases it once the last pin drops (other holders erase
@@ -349,27 +357,36 @@ class BufferPool {
   /// retained or in a prefetch state, when a write of the block is still in
   /// flight, when the prefetch budget is exhausted, or when making room
   /// would evict anything but an unpinned, unretained regular frame.
-  /// `required_bytes` is what the caller's plan requires resident while
-  /// this frame waits for its consumer; it is charged against the budget
-  /// next to the lookahead, so the prefetch fits only if lookahead +
-  /// bytes + required_bytes stays within the budget. Callers whose
-  /// requirement is already reserved out of the budget (sessions) pass 0.
+  /// Without `account` the frame is lookahead, charged to the prefetch
+  /// budget: `required_bytes` is what the caller's plan requires resident
+  /// while this frame waits for its consumer, so the prefetch fits only if
+  /// lookahead + bytes + required_bytes stays within the budget. A solo
+  /// run's fan-out read passes its instance's requirement less the
+  /// instance's reads in flight, which keeps it inside the cap; session
+  /// lookahead passes 0 (the admitted footprints are reserved out of the
+  /// budget). With `account` — a session's fan-out read, part of the
+  /// footprint admission reserved — the frame is charged to the account at
+  /// issue under Fetch's rule (charged + bytes <= budget) instead, and
+  /// neither the prefetch budget nor `required_bytes` applies.
   Frame* TryStartPrefetch(int array_id, int64_t block, int64_t bytes,
-                          int64_t required_bytes = 0) EXCLUDES(mu_);
+                          int64_t required_bytes = 0,
+                          PoolAccount* account = nullptr) EXCLUDES(mu_);
   /// I/O completed: kPrefetching -> kPrefetched.
   void CompletePrefetch(Frame* frame) EXCLUDES(mu_);
   /// Hands a kPrefetched frame to the execution thread: the frame becomes
-  /// a pinned regular frame, exactly as if Fetch had loaded it. `account`
-  /// charges the newly-required bytes to the session (the caller checks
-  /// its budget before adopting; adoption itself never refuses).
+  /// a pinned regular frame, exactly as if Fetch had loaded it. A frame
+  /// charged at issue keeps that charge; otherwise `account` is charged
+  /// for the newly-required bytes (the caller checks its budget before
+  /// adopting; adoption itself never refuses).
   Frame* AdoptPrefetched(Frame* frame, PoolAccount* account = nullptr)
       EXCLUDES(mu_);
   /// Gives up on a completed prefetch: the frame is dropped from the pool
   /// entirely (never demoted to cache — a failed or stale prefetch must
-  /// not be able to satisfy a later probe).
+  /// not be able to satisfy a later probe), and an issue-time charge goes
+  /// back to its account.
   void AbandonPrefetch(Frame* frame) EXCLUDES(mu_);
-  /// Max total bytes of frames in prefetch states, plus the issuing
-  /// prefetch's `required_bytes`; 0 disables prefetch. With
+  /// Max total bytes of uncharged frames in prefetch states (lookahead),
+  /// plus the issuing prefetch's `required_bytes`; 0 disables it. With
   /// `count_write_held`, frames held resident only by in-flight
   /// write-throughs count against the budget too. The session runtime's
   /// budget is the cap's unreserved headroom; counting those frames keeps
@@ -485,6 +502,12 @@ class BufferPool {
   /// budget check — the frame is already part of the survivor's own
   /// required footprint, which its budget covers (see PoolAccount).
   void RechargeLocked(Frame* f) REQUIRES(mu_);
+  /// Moves the frame's charge to `want` (nullptr = uncharged).
+  void MoveChargeLocked(Frame* f, PoolAccount* want) REQUIRES(mu_);
+  /// Prefetch-state bookkeeping of a frame entering (charged to `account`,
+  /// when set) and leaving a prefetch state.
+  void StartPrefetchLocked(Frame* f, PoolAccount* account) REQUIRES(mu_);
+  void EndPrefetchLocked(Frame* f) REQUIRES(mu_);
   /// Call around any mutation of pins/holders/retention/state to keep the
   /// required-bytes counter, the per-account ledgers, and the policy's
   /// evictable set current.
@@ -533,6 +556,8 @@ class BufferPool {
   int64_t used_bytes_ GUARDED_BY(mu_) = 0;
   int64_t required_bytes_ GUARDED_BY(mu_) = 0;
   int64_t prefetch_bytes_ GUARDED_BY(mu_) = 0;
+  // The part of prefetch_bytes_ charged to accounts, outside the budget.
+  int64_t charged_prefetch_bytes_ GUARDED_BY(mu_) = 0;
   int64_t prefetch_budget_bytes_ GUARDED_BY(mu_) = 0;
   bool prefetch_counts_write_held_ GUARDED_BY(mu_) = false;
   // Frames held resident only by in-flight write-throughs (IsWriteHeld).

@@ -6,18 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
+#include "core/access_plan.h"
 #include "core/cost_model.h"
 #include "exec/verify.h"
 #include "ops/runtime.h"
 #include "ops/workload.h"
 #include "storage/env.h"
+#include "storage/io_pool.h"
+#include "testing/in_flight_store.h"
 
 namespace riot {
 namespace {
@@ -142,6 +147,175 @@ TEST(SessionRuntimeTest, DepthTwoLookaheadInHeadroomIsNeverWasted) {
                     .ok());
   }
   EXPECT_EQ(runtime.pool()->Snapshot().required_bytes, 0);
+}
+
+// A session fans out an instance's reads like a solo run: with the pool
+// cap equal to the footprint there is no headroom and so no lookahead, yet
+// each chain instance's two input reads are in flight together — the
+// second is charged to the session's account, inside the footprint
+// admission reserved.
+TEST(SessionRuntimeTest, FansOutInstanceReadsInsideFootprint) {
+  Workload w = MakeElementwiseChain(/*scale=*/1000);
+  const PlanCost cost =
+      EvaluatePlanCost(w.program, w.program.original_schedule(), {});
+  auto env = NewMemEnv();
+  Runtime ref = MustSoloRun(w, env.get(), "/ref", 3);
+  auto rt = OpenStores(env.get(), w.program, "/s0");
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE(InitInputs(w, *rt, 3).ok());
+  InFlightCounter reads(/*count_writes=*/false);
+  std::vector<BlockStore*> stores = rt->raw();
+  for (BlockStore*& store : stores) store = reads.Wrap(store);
+
+  SessionRuntimeOptions opts;
+  opts.pool_cap_bytes = cost.peak_memory_bytes;
+  SessionRuntime runtime(opts);
+  SessionSpec spec;
+  spec.program = &w.program;
+  Schedule sched = w.program.original_schedule();
+  spec.schedule = &sched;
+  spec.stores = stores;
+  spec.kernels = &w.kernels;
+  spec.exec.pipeline_depth = 2;
+  auto r = runtime.Run(spec);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  EXPECT_GE(reads.peak(), 2);
+  EXPECT_EQ(r->budget_bytes, opts.pool_cap_bytes);
+  EXPECT_LE(r->peak_charged_bytes, r->budget_bytes);
+  EXPECT_EQ(r->budget_rejections, 0);
+  EXPECT_EQ(r->exec.session_parks, 0);
+  EXPECT_GT(r->exec.prefetch_hits, 0);
+  EXPECT_EQ(r->exec.prefetch_wasted, 0);
+  EXPECT_EQ(r->exec.block_reads, cost.block_reads);
+  EXPECT_EQ(r->exec.block_writes, cost.block_writes);
+  for (int arr : w.output_arrays) {
+    EXPECT_TRUE(VerifyBitEqual(w.program.array(arr),
+                               ref.stores[static_cast<size_t>(arr)].get(),
+                               rt->stores[static_cast<size_t>(arr)].get())
+                    .ok());
+  }
+  BufferPoolSnapshot snap = runtime.pool()->Snapshot();
+  EXPECT_EQ(snap.pinned_frames, 0);
+  EXPECT_EQ(snap.required_bytes, 0);
+  EXPECT_EQ(snap.prefetch_bytes, 0);
+}
+
+// Watches a chain run's two input stores. Each chain instance reads block b
+// of the "lead" store (its first read record) and block b of the "trail"
+// store. An I/O worker's lead read stays in flight up to 100 ms until the
+// consumer thread starts reading the same block of the trail store while
+// it is — the consumer overtaking its instance's first read in flight.
+class OvertakeProbe {
+ public:
+  class Store : public BlockStore {
+   public:
+    Store(OvertakeProbe* probe, BlockStore* base, bool lead)
+        : BlockStore(base->block_bytes()), probe_(probe), base_(base),
+          lead_(lead) {}
+    Status ReadBlock(int64_t block, void* buf) override {
+      const bool worker = IoPool::OnWorkerThread();
+      if (lead_ && worker) probe_->LeadBegin(block);
+      if (!lead_ && !worker) probe_->TrailBegin(block);
+      Status st = base_->ReadBlock(block, buf);
+      if (lead_ && worker) probe_->LeadEnd(block);
+      return st;
+    }
+    Status WriteBlock(int64_t block, const void* buf) override {
+      return base_->WriteBlock(block, buf);
+    }
+    bool HasBlock(int64_t block) override { return base_->HasBlock(block); }
+    Status Flush() override { return base_->Flush(); }
+
+   private:
+    OvertakeProbe* const probe_;
+    BlockStore* const base_;
+    const bool lead_;
+  };
+
+  bool overtaken() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return overtaken_;
+  }
+
+ private:
+  void LeadBegin(int64_t block) {
+    std::unique_lock<std::mutex> lock(mu_);
+    in_flight_.push_back(block);
+    cv_.wait_for(lock, std::chrono::milliseconds(100),
+                 [this] { return overtaken_; });
+  }
+  void LeadEnd(int64_t block) {
+    std::lock_guard<std::mutex> lock(mu_);
+    in_flight_.erase(std::find(in_flight_.begin(), in_flight_.end(), block));
+  }
+  void TrailBegin(int64_t block) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::count(in_flight_.begin(), in_flight_.end(), block) > 0) {
+      overtaken_ = true;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<int64_t> in_flight_;
+  bool overtaken_ = false;
+};
+
+// With one block of headroom, lookahead fetches the next instance's lead
+// read while the current instance runs, and fan-out leaves the trail read
+// to the consumer. The consumer reads the trail block first and adopts the
+// lead block after, instead of waiting for the lead read before starting
+// its own.
+TEST(SessionRuntimeTest, ConsumerReadsBeforeItsLookaheadLands) {
+  Workload w = MakeElementwiseChain(/*scale=*/1000);
+  const Schedule& sched = w.program.original_schedule();
+  const PlanCost cost = EvaluatePlanCost(w.program, sched, {});
+  const AccessScript script = LowerPlan(w.program, sched, {}).ValueOrDie();
+  const auto [first, last] = script.per_pos[0];
+  ASSERT_EQ(last - first, 3u);  // two reads, then the write
+  const int lead = script.records[first].array_id;
+  const int trail = script.records[first + 1].array_id;
+  ASSERT_NE(lead, trail);
+
+  auto env = NewMemEnv();
+  Runtime ref = MustSoloRun(w, env.get(), "/ref", 4);
+  auto rt = OpenStores(env.get(), w.program, "/s0");
+  ASSERT_TRUE(rt.ok());
+  ASSERT_TRUE(InitInputs(w, *rt, 4).ok());
+  OvertakeProbe probe;
+  OvertakeProbe::Store lead_store(&probe, rt->stores[size_t(lead)].get(),
+                                  /*lead=*/true);
+  OvertakeProbe::Store trail_store(&probe, rt->stores[size_t(trail)].get(),
+                                   /*lead=*/false);
+  std::vector<BlockStore*> stores = rt->raw();
+  stores[size_t(lead)] = &lead_store;
+  stores[size_t(trail)] = &trail_store;
+
+  SessionRuntimeOptions opts;
+  opts.pool_cap_bytes =
+      cost.peak_memory_bytes + w.program.array(lead).BlockBytes();
+  SessionRuntime runtime(opts);
+  SessionSpec spec;
+  spec.program = &w.program;
+  spec.schedule = &sched;
+  spec.stores = stores;
+  spec.kernels = &w.kernels;
+  spec.exec.pipeline_depth = 1;
+  auto r = runtime.Run(spec);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  EXPECT_TRUE(probe.overtaken());
+  EXPECT_LE(r->peak_charged_bytes, r->budget_bytes);
+  EXPECT_EQ(r->exec.prefetch_wasted, 0);
+  EXPECT_EQ(r->exec.block_reads, cost.block_reads);
+  for (int arr : w.output_arrays) {
+    EXPECT_TRUE(VerifyBitEqual(w.program.array(arr),
+                               ref.stores[static_cast<size_t>(arr)].get(),
+                               rt->stores[static_cast<size_t>(arr)].get())
+                    .ok());
+  }
 }
 
 TEST(SessionRuntimeTest, ConcurrentSessionsShareInputsBitExact) {

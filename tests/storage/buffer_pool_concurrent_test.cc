@@ -197,5 +197,37 @@ TEST_F(BufferPoolConcurrentTest, PrefetchChargesCallersRequirement) {
   EXPECT_EQ(pool.prefetch_bytes(), 2 * kBlock);
 }
 
+TEST_F(BufferPoolConcurrentTest, AccountPrefetchChargedAtIssueNotHeadroom) {
+  // A session's fan-out read is charged to its account when issued, under
+  // Fetch's budget rule and outside the prefetch budget: with no headroom
+  // at all, a 2-block account admits two such reads and declines a third.
+  // Adoption keeps the charge (no second one); abandoning gives it back.
+  BufferPool pool(8 * kBlock);
+  pool.SetPrefetchBudget(0);
+  PoolAccount account;
+  account.budget_bytes = 2 * kBlock;
+  EXPECT_EQ(pool.TryStartPrefetch(0, 1, kBlock), nullptr);  // no headroom
+  BufferPool::Frame* p1 = pool.TryStartPrefetch(0, 1, kBlock, 0, &account);
+  BufferPool::Frame* p2 = pool.TryStartPrefetch(0, 2, kBlock, 0, &account);
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p2, nullptr);
+  EXPECT_EQ(account.charged_bytes.load(), 2 * kBlock);
+  EXPECT_EQ(pool.TryStartPrefetch(0, 3, kBlock, 0, &account), nullptr);
+  EXPECT_EQ(pool.PinnedOrRetainedBytes(), 0);  // in flight, not required
+  pool.CompletePrefetch(p1);
+  BufferPool::Frame* f1 = pool.AdoptPrefetched(p1, &account);
+  EXPECT_EQ(account.charged_bytes.load(), 2 * kBlock);
+  EXPECT_EQ(pool.PinnedOrRetainedBytes(), kBlock);
+  pool.CompletePrefetch(p2);
+  pool.AbandonPrefetch(p2);
+  EXPECT_EQ(account.charged_bytes.load(), kBlock);
+  pool.Unpin(f1, &account);
+  EXPECT_EQ(account.charged_bytes.load(), 0);
+  EXPECT_EQ(account.peak_charged_bytes.load(), 2 * kBlock);
+  EXPECT_EQ(account.budget_rejections.load(), 0);
+  EXPECT_EQ(pool.prefetch_bytes(), 0);
+  pool.DetachAccount(&account);
+}
+
 }  // namespace
 }  // namespace riot
