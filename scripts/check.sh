@@ -62,6 +62,11 @@ EOF
 # skipped with a notice when one is not installed.
 echo "=== static analysis ==="
 ./build-release/riot_lint --seeds 25
+# No code opts out of the thread-safety analysis; the grep needs no Clang.
+if grep -rn NO_THREAD_SAFETY_ANALYSIS src | grep -v '^src/util/thread_annotations.h:'; then
+  echo "NO_THREAD_SAFETY_ANALYSIS used in src/ outside util/thread_annotations.h" >&2
+  exit 1
+fi
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-clang -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_C_COMPILER=clang -DCMAKE_CXX_COMPILER=clang++ \

@@ -511,28 +511,6 @@ Result<AccessScript> LowerPlan(const Program& program,
   return script;
 }
 
-RangeMax::RangeMax(const std::vector<int64_t>& values) {
-  levels_.push_back(values);
-  for (size_t w = 1; 2 * w <= values.size(); w *= 2) {
-    const std::vector<int64_t>& prev = levels_.back();
-    std::vector<int64_t> next(prev.size() - w);
-    for (size_t i = 0; i < next.size(); ++i) {
-      next[i] = std::max(prev[i], prev[i + w]);
-    }
-    levels_.push_back(std::move(next));
-  }
-}
-
-int64_t RangeMax::Max(size_t lo, size_t hi) const {
-  hi = std::min(hi, levels_[0].size());
-  if (lo >= hi) return 0;
-  // Two overlapping power-of-two windows cover [lo, hi).
-  size_t k = 0;
-  while (size_t{2} << k <= hi - lo) ++k;
-  const std::vector<int64_t>& level = levels_[k];
-  return std::max(level[lo], level[hi - (size_t{1} << k)]);
-}
-
 InstanceDag BuildInstanceDag(const AccessScript& script) {
   InstanceDag dag;
   const size_t n = script.per_pos.size();

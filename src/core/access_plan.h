@@ -93,6 +93,8 @@ struct BlockAccessRecord {
   /// Read: the plan realizes a sharing opportunity, so the block is served
   /// from memory. Write: the disk write is saved (W->W) or elided.
   bool saved = false;
+  /// A read the plan serves from disk.
+  bool disk_read() const { return type == AccessType::kRead && !saved; }
   /// Retain the frame until all groups <= this complete; -1 = no retention.
   int64_t retain_until_group = -1;
   /// For reads: stream position of the latest write to the same
@@ -128,10 +130,8 @@ struct AccessScript {
   /// whose span covers it. A span is active from its source access until
   /// the last instant of its end group — exactly the engine's pin/retain
   /// discipline, so the maximum is both the cost model's predicted peak and
-  /// the engine's measured one. A solo run may hold a read for position s
-  /// ahead while position f runs only if its lookahead fits in the cap's
-  /// headroom over the largest requirement in [f, s): the positions the
-  /// prefetched frame spans before it is adopted.
+  /// the engine's measured one. The engine charges its reads ahead against
+  /// it (storage/issue_policy.h).
   std::vector<int64_t> required_bytes;
   /// Per-(array, block) ascending, deduplicated instance positions of use
   /// (every access, read or write). The per-block future-use iterators
@@ -146,20 +146,6 @@ struct AccessScript {
 Result<AccessScript> LowerPlan(const Program& program,
                                const Schedule& schedule,
                                const std::vector<const CoAccess*>& realized);
-
-/// \brief Range maximum over a fixed sequence: a sparse table, O(n log n)
-/// to build and O(1) per query. The executor bounds each prefetch by the
-/// largest requirement over the positions it spans with it.
-class RangeMax {
- public:
-  explicit RangeMax(const std::vector<int64_t>& values);
-  /// Max of values[lo, hi); 0 when the range is empty.
-  int64_t Max(size_t lo, size_t hi) const;
-
- private:
-  /// levels_[k][i] = max of values[i, i + 2^k).
-  std::vector<std::vector<int64_t>> levels_;
-};
 
 /// \brief Statement-instance dependence DAG over the scheduled stream.
 ///

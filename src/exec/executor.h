@@ -13,14 +13,10 @@
 // both derived from the optimizer's perfect foreknowledge of the block
 // access sequence (no heuristics, no speculation):
 //
-//   * I/O pipeline (ExecOptions::pipeline_depth): a prefetcher walks the
-//     plan's block access script (core/access_plan.h) up to `depth` groups
-//     ahead of the completed instances, issuing asynchronous reads through
-//     an I/O worker pool while kernels run against completed frames; a
-//     dispatched instance's disk reads beyond its first go to the same
-//     workers at once (fan-out); and every write-through goes to them
-//     behind the kernels (write-behind). Depth 0 degrades to the fully
-//     synchronous engine bit-for-bit.
+//   * I/O pipeline (ExecOptions::pipeline_depth): reads ahead of the
+//     kernels (lookahead and fan-out, storage/issue_policy.h) and
+//     write-throughs behind them (write-behind) go to an I/O worker pool.
+//     Depth 0 is the fully synchronous engine bit-for-bit.
 //
 //   * Kernel workers (ExecOptions::exec_threads): the worker count changes
 //     only how the next instance is picked. One worker (the default) takes
@@ -80,10 +76,8 @@ struct InstanceDag;
 ///   * shared I/O workers (`io` + `io_channel`) — prefetch reads are
 ///     submitted on the session's own completion channel, and the pool's
 ///     round-robin dispatch keeps one tenant's prefetch from starving
-///     another's. A run fans out each dispatched instance's reads as a
-///     solo run does, charging those frames to `account` (they are part
-///     of the footprint admission reserved), and reads ahead into the
-///     runtime's headroom.
+///     another's. A run fans out and reads ahead as a solo run does,
+///     charged as storage/issue_policy.h says for sessions.
 /// Tenants call a shared store concurrently, as a solo run's workers do:
 /// calls on distinct blocks may overlap (storage/block_store.h), and the
 /// shared pool's load latch and write barrier keep two off one block.
@@ -130,29 +124,11 @@ struct ExecOptions {
   /// Lookahead of the prefetching pipeline, in schedule groups: the
   /// prefetcher walks the plan's block access script up to this many groups
   /// ahead of the kernels, issuing asynchronous disk reads so I/O overlaps
-  /// compute, and write-through goes behind the kernels to the same I/O
-  /// workers. Prefetched lookahead never violates the memory cap: in a
-  /// solo run, a read for position s may be issued while f is the
-  /// smallest incomplete position only if the outstanding lookahead plus
-  /// this block fits in
-  ///   cap - max_{f <= q < s} R(q) - (exec_threads - 1) * max instance
-  ///   bytes,
-  /// where R is the plan's exact requirement per position
-  /// (AccessScript::required_bytes): the cap's headroom over what the plan
-  /// needs while the frame waits for its consumer, and over the other
-  /// workers' instance footprints. When a run dispatches the instance at
-  /// position p, the consumer reads its first disk read nobody has issued,
-  /// and every other one goes to the I/O workers at once (instance read
-  /// fan-out), so an instance's reads overlap each other. Those frames are
-  /// part of R(p), so a solo run charges them inside R(p), never on top of
-  /// it: beside the outstanding lookahead, which was admitted beside R(p),
-  /// and ahead of lookahead for later positions. A session run charges
-  /// them to its account instead, inside the footprint admission reserved,
-  /// and reads ahead under the runtime's headroom budget. A read whose
-  /// producing write has not landed stays with the consumer. At one worker
-  /// prefetched frames therefore never need cancelling. The instance
-  /// acquires the reads nobody has issued first, so its consumer reads
-  /// them while the others are in flight.
+  /// compute; a dispatched instance's disk reads beyond its first go to the
+  /// I/O workers at once (fan-out), and write-through goes behind the
+  /// kernels to the same workers. Every read ahead is charged so that it
+  /// never violates the memory cap nor displaces a frame the plan needs;
+  /// the rules are in storage/issue_policy.h.
   /// 0 (default) disables the pipeline and reproduces the synchronous
   /// engine bit-for-bit — same I/O counts, same pool behavior. Ignored
   /// (treated as 0) under kOpportunisticCache, which has no plan
@@ -290,6 +266,9 @@ class Executor {
                         const std::vector<const CoAccess*>& realized);
 
  private:
+  /// One Run's state and its engine (executor.cc).
+  class Execution;
+
   /// Script-level lint of the lowered plan (ExecOptions::lint); OK when
   /// linting is off or the plan is clean.
   Status LintLoweredPlan(const AccessScript& script,

@@ -36,15 +36,9 @@
 //
 //   * Plan-exact prefetch headroom — the shared pool's prefetch budget is
 //     the cap's unreserved headroom, pool_cap_bytes minus the admitted
-//     footprints, republished on every admit and release. Frames held
-//     only by landing write-behind count against it too, so lookahead
-//     never displaces what an admitted session's plan needs, and a fetch
-//     within a footprint never parks behind a prefetch. (A solo run
-//     charges each prefetch the plan's largest requirement over the
-//     positions the frame spans; a session's requirement is its whole
-//     footprint, reserved for the run, so it charges nothing per issue.)
-//     Sessions at pipeline_depth >= 1 (every serving job; see
-//     serve/catalog.h) prefetch into that headroom and write behind their
+//     footprints, republished on every admit and release. Sessions at
+//     pipeline_depth >= 1 (every serving job; see serve/catalog.h) read
+//     ahead into it as storage/issue_policy.h says, and write behind their
 //     kernels on the shared I/O workers.
 //
 //   * Stats — per-session ExecStats (+ budget peaks and park counts) and

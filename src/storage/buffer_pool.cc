@@ -14,12 +14,8 @@ double Since(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-// The session budget rule: `bytes` more may not lift the charge past the
-// budget. Callers hold the pool's mutex, so relaxed loads suffice.
 bool OverBudget(const PoolAccount* account, int64_t bytes) {
-  return account != nullptr &&
-         account->charged_bytes.load(std::memory_order_relaxed) + bytes >
-             account->budget_bytes;
+  return account != nullptr && !account->Admits(bytes);
 }
 
 Status RejectOverBudget(PoolAccount* account, int64_t bytes) {
@@ -564,14 +560,13 @@ BufferPool::Frame* BufferPool::TryStartPrefetch(int array_id, int64_t block,
   MutexLock lock(&mu_);
   ReapLandedLocked();
   Key key{array_id, block};
-  // An account's fan-out read is part of its footprint: Fetch's budget
-  // rule. Lookahead fits beside the caller's requirement in the budget.
+  // The issue policy (storage/issue_policy.h): an account's fan-out read
+  // is part of its footprint, anything else fits the prefetch budget.
   const int64_t held = prefetch_counts_write_held_ ? write_held_bytes_ : 0;
   if (account != nullptr
-          ? OverBudget(account, bytes)
-          : prefetch_bytes_ - charged_prefetch_bytes_ + held + required_bytes +
-                    bytes >
-                prefetch_budget_bytes_) {
+          ? !account->Admits(bytes)
+          : !PrefetchFits(prefetch_bytes_ - charged_prefetch_bytes_, held,
+                          required_bytes, bytes, prefetch_budget_bytes_)) {
     ++stats_.prefetch_declined;
     return nullptr;
   }

@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "storage/block_store.h"
+#include "storage/issue_policy.h"
 #include "storage/replacement.h"
 #include "util/aligned.h"
 #include "util/status.h"
@@ -95,6 +96,12 @@ struct PoolAccount {
   std::atomic<int64_t> charged_bytes{0};
   std::atomic<int64_t> peak_charged_bytes{0};
   std::atomic<int64_t> budget_rejections{0};  // fetches refused over budget
+
+  /// The account rule (storage/issue_policy.h). Exact under the owning
+  /// pool's mutex, a snapshot anywhere else.
+  bool Admits(int64_t bytes) const {
+    return AccountAdmits(charged_bytes.load(), bytes, budget_bytes);
+  }
 };
 
 /// \brief One run's write-throughs in flight (BufferPool::WriteThroughAsync).
@@ -357,17 +364,10 @@ class BufferPool {
   /// retained or in a prefetch state, when a write of the block is still in
   /// flight, when the prefetch budget is exhausted, or when making room
   /// would evict anything but an unpinned, unretained regular frame.
-  /// Without `account` the frame is lookahead, charged to the prefetch
-  /// budget: `required_bytes` is what the caller's plan requires resident
-  /// while this frame waits for its consumer, so the prefetch fits only if
-  /// lookahead + bytes + required_bytes stays within the budget. A solo
-  /// run's fan-out read passes its instance's requirement less the
-  /// instance's reads in flight, which keeps it inside the cap; session
-  /// lookahead passes 0 (the admitted footprints are reserved out of the
-  /// budget). With `account` — a session's fan-out read, part of the
-  /// footprint admission reserved — the frame is charged to the account at
-  /// issue under Fetch's rule (charged + bytes <= budget) instead, and
-  /// neither the prefetch budget nor `required_bytes` applies.
+  /// Without `account` the frame must fit the prefetch budget beside
+  /// `required_bytes`, the issuer's charge (PrefetchFits); with one it is
+  /// charged to the account at issue (AccountAdmits). The rules and the
+  /// charges the engine passes are in storage/issue_policy.h.
   Frame* TryStartPrefetch(int array_id, int64_t block, int64_t bytes,
                           int64_t required_bytes = 0,
                           PoolAccount* account = nullptr) EXCLUDES(mu_);
@@ -385,13 +385,9 @@ class BufferPool {
   /// not be able to satisfy a later probe), and an issue-time charge goes
   /// back to its account.
   void AbandonPrefetch(Frame* frame) EXCLUDES(mu_);
-  /// Max total bytes of uncharged frames in prefetch states (lookahead),
-  /// plus the issuing prefetch's `required_bytes`; 0 disables it. With
+  /// The budget of TryStartPrefetch's fit test; 0 disables prefetch. With
   /// `count_write_held`, frames held resident only by in-flight
-  /// write-throughs count against the budget too. The session runtime's
-  /// budget is the cap's unreserved headroom; counting those frames keeps
-  /// lookahead plus landing writes inside it, so a fetch within an
-  /// admitted footprint never has to wait for a prefetch.
+  /// write-throughs count against it too (a session runtime's headroom).
   void SetPrefetchBudget(int64_t bytes, bool count_write_held = false)
       EXCLUDES(mu_);
   int64_t prefetch_bytes() const EXCLUDES(mu_);

@@ -91,6 +91,9 @@ class CAPABILITY("mutex") Mutex {
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  /// Tells the analysis the caller holds this mutex (a callback run inside
+  /// a locked call); checks nothing at run time.
+  void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
  private:
   friend class CondVar;

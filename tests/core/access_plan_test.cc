@@ -159,30 +159,6 @@ TEST(AccessScriptTest, KeepsRequiredBytesPerPosition) {
   EXPECT_EQ(s.required_bytes.size(), s.per_pos.size());
 }
 
-TEST(RangeMaxTest, MatchesBruteForce) {
-  // Every window [lo, hi) of sequences of every length up to 40, including
-  // empty and out-of-range windows.
-  uint64_t x = 12345;
-  for (size_t n = 0; n <= 40; ++n) {
-    std::vector<int64_t> values(n);
-    for (int64_t& v : values) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      v = static_cast<int64_t>(x >> 40);
-    }
-    RangeMax rm(values);
-    for (size_t lo = 0; lo <= n + 1; ++lo) {
-      for (size_t hi = 0; hi <= n + 2; ++hi) {
-        int64_t want = 0;
-        for (size_t i = lo; i < std::min(hi, n); ++i) {
-          want = std::max(want, values[i]);
-        }
-        EXPECT_EQ(rm.Max(lo, hi), want) << n << " [" << lo << ", " << hi
-                                        << ")";
-      }
-    }
-  }
-}
-
 TEST(InstanceDagTest, EdgesForwardAndConsistent) {
   Workload w = MakeExample1(2, 3, 2);
   const AccessScript s =
